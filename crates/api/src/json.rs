@@ -8,6 +8,11 @@
 //! - **objects preserve key order** (emission is deterministic), and
 //! - **duplicate keys are an error** (a request must mean one thing).
 //!
+//! Arrays and objects nest at most [`MAX_DEPTH`] deep, so hostile input
+//! cannot exhaust the stack of the recursive descent. Plain unsigned
+//! integer tokens decode exactly ([`Json::Int`]), so a `u64` field such
+//! as `seed` keeps every bit above 2^53.
+//!
 //! Writing goes through [`esc`] / [`fmt_f64`]; metric formatting matches
 //! the sweep table's fixed `{:.4}` idiom so parse → re-emit is stable.
 
@@ -20,7 +25,10 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number (always held as `f64`).
+    /// A plain unsigned integer token (digits only, no sign, fraction or
+    /// exponent) that fits a `u64`, held exactly.
+    Int(u64),
+    /// Any other JSON number, held as `f64`.
     Num(f64),
     /// A string.
     Str(String),
@@ -36,7 +44,7 @@ impl Json {
         match self {
             Json::Null => "null",
             Json::Bool(_) => "a boolean",
-            Json::Num(_) => "a number",
+            Json::Int(_) | Json::Num(_) => "a number",
             Json::Str(_) => "a string",
             Json::Arr(_) => "an array",
             Json::Obj(_) => "an object",
@@ -53,11 +61,18 @@ impl Json {
     }
 }
 
+/// The deepest array/object nesting [`parse`] accepts. Request and
+/// report documents nest at most four deep; the cap bounds the parser's
+/// recursion so deeply nested input is a parse error, not a stack
+/// overflow.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parses one JSON document; trailing non-whitespace is an error.
 pub fn parse(src: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
         bytes: src.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -71,6 +86,8 @@ pub fn parse(src: &str) -> Result<Json, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -111,8 +128,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -121,6 +138,18 @@ impl<'a> Parser<'a> {
             Some(c) => Err(self.err(format!("unexpected character '{}'", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to descend
+    /// past [`MAX_DEPTH`].
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Json, ParseError>) -> Result<Json, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, ParseError> {
@@ -276,7 +305,10 @@ impl<'a> Parser<'a> {
 
     fn number(&mut self) -> Result<Json, ParseError> {
         let start = self.pos;
+        // Cleared by a sign, fraction or exponent.
+        let mut plain = true;
         if self.peek() == Some(b'-') {
+            plain = false;
             self.pos += 1;
         }
         // Integer part: a lone 0 or a nonzero-led digit run.
@@ -290,6 +322,7 @@ impl<'a> Parser<'a> {
             _ => return Err(self.err("expected a digit")),
         }
         if self.peek() == Some(b'.') {
+            plain = false;
             self.pos += 1;
             if !matches!(self.peek(), Some(b'0'..=b'9')) {
                 return Err(self.err("expected a digit after the decimal point"));
@@ -299,6 +332,7 @@ impl<'a> Parser<'a> {
             }
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
+            plain = false;
             self.pos += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
@@ -313,6 +347,13 @@ impl<'a> Parser<'a> {
         // The scanned span holds only ASCII sign/digit/dot/exponent
         // bytes, so lossy decoding borrows it verbatim — no panic path.
         let text = String::from_utf8_lossy(&self.bytes[start..self.pos]);
+        // A digits-only token decodes exactly when it fits; wider ones
+        // (2^64 and up) fall through to the f64 path like any number.
+        if plain {
+            if let Ok(v) = text.parse::<u64>() {
+                return Ok(Json::Int(v));
+            }
+        }
         // Rust's f64 parse never fails on valid JSON number syntax — it
         // returns ±inf on overflow. JSON cannot represent non-finite
         // values, and letting one in would make every emitter downstream
@@ -405,6 +446,7 @@ pub(crate) fn require_str<'a>(j: &'a Json, field: &'static str) -> Result<&'a st
 
 pub(crate) fn as_num(field: &'static str, j: &Json) -> Result<f64, ParseError> {
     match j {
+        Json::Int(v) => Ok(*v as f64),
         Json::Num(v) => Ok(*v),
         _ => Err(ParseError::BadType {
             field,
@@ -432,6 +474,9 @@ pub(crate) fn as_integer(field: &'static str, j: &Json) -> Result<f64, ParseErro
 }
 
 pub(crate) fn as_u64(field: &'static str, j: &Json) -> Result<u64, ParseError> {
+    if let Json::Int(v) = j {
+        return Ok(*v);
+    }
     let v = as_integer(field, j)?;
     // Exclusive upper bound: `u64::MAX as f64` rounds *up* to 2^64, so an
     // inclusive check would let 2^64 saturate to u64::MAX instead of
@@ -478,6 +523,17 @@ mod tests {
         assert_eq!(parse("true").unwrap(), Json::Bool(true));
         assert_eq!(parse("-12.5e1").unwrap(), Json::Num(-125.0));
         assert_eq!(parse("\"hi\"").unwrap(), Json::Str("hi".into()));
+        // Plain unsigned integers decode exactly; sign, fraction,
+        // exponent and overwide forms keep the f64 path.
+        assert_eq!(parse("9007199254740993").unwrap(), Json::Int((1 << 53) + 1));
+        assert_eq!(parse("18446744073709551615").unwrap(), Json::Int(u64::MAX));
+        assert_eq!(parse("-3").unwrap(), Json::Num(-3.0));
+        assert_eq!(parse("3.0").unwrap(), Json::Num(3.0));
+        assert_eq!(parse("3e0").unwrap(), Json::Num(3.0));
+        assert_eq!(
+            parse("18446744073709551616").unwrap(),
+            Json::Num(2f64.powi(64))
+        );
     }
 
     #[test]
@@ -486,7 +542,7 @@ mod tests {
         assert_eq!(j.get("c"), Some(&Json::Str("x".into())));
         match j.get("a") {
             Some(Json::Arr(items)) => {
-                assert_eq!(items[0], Json::Num(1.0));
+                assert_eq!(items[0], Json::Int(1));
                 assert_eq!(items[1].get("b"), Some(&Json::Null));
             }
             other => panic!("expected array, got {other:?}"),
@@ -565,6 +621,26 @@ mod tests {
             }
             other => panic!("expected object, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_not_a_stack_overflow() {
+        let deep = "[".repeat(200_000);
+        let e = parse(&deep).unwrap_err();
+        assert_eq!(
+            e,
+            ParseError::Json {
+                at: MAX_DEPTH,
+                msg: format!("nesting deeper than {MAX_DEPTH} levels"),
+            }
+        );
+        let objects = r#"{"a":"#.repeat(200_000);
+        assert!(parse(&objects).is_err());
+        // Exactly MAX_DEPTH levels still parse.
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(parse(&over).is_err());
     }
 
     #[test]

@@ -344,7 +344,7 @@ impl ValidRequest {
 
 fn pue_from_json(j: &Json) -> Result<PueSpec, ParseError> {
     match j {
-        Json::Num(v) => Ok(PueSpec::Constant(*v)),
+        Json::Int(_) | Json::Num(_) => as_num("pue", j).map(PueSpec::Constant),
         Json::Obj(fields) => {
             reject_unknown(fields, &["mean", "amplitude"])?;
             let mean = match j.get("mean") {
@@ -787,6 +787,15 @@ mod tests {
         )
         .unwrap();
         assert_eq!(r.seed, 18446744073709549568);
+        // 2^53 + 1 has no f64 neighbour of its own; a plain integer token
+        // decodes exactly and re-emits unrounded.
+        let r = EstimateRequest::from_json(
+            r#"{"schema_version": 1, "system": "frontier", "region": "eso",
+                "seed": 9007199254740993}"#,
+        )
+        .unwrap();
+        assert_eq!(r.seed, 9007199254740993);
+        assert!(r.to_json().contains("\"seed\": 9007199254740993"));
     }
 
     #[test]

@@ -35,9 +35,6 @@
 //!   fuel-mix-weighted OU noise) an order of magnitude cheaper than the
 //!   dispatch simulator, so sweeps are not limited to the calibrated
 //!   trace set;
-//! - [`api::IntensityApi`]: an ESO-Carbon-Intensity-API-style interface
-//!   (actual + forecast with horizon-dependent error, intensity index
-//!   bands) used by the carbon-aware scheduler;
 //! - [`analysis`]: the Fig. 6/Fig. 7 analyses (per-region summaries,
 //!   winner-per-JST-hour counts);
 //! - [`tracefile`]: strict ElectricityMaps/EIA-style CSV ingestion of
@@ -60,7 +57,6 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
-pub mod api;
 pub mod forecast;
 pub mod fuel;
 pub mod regions;
@@ -69,7 +65,6 @@ pub mod synth;
 pub mod trace;
 pub mod tracefile;
 
-pub use forecast::ForecastProvider;
 pub use regions::OperatorId;
 pub use sim::{simulate_all_regions, simulate_year};
 pub use synth::{synthesize_year, SyntheticSpec};

@@ -35,7 +35,7 @@ impl Csv {
     }
 
     fn raw_row<I: IntoIterator<Item = String>>(&mut self, cells: I) {
-        let cells: Vec<String> = cells.into_iter().map(|c| escape(&c)).collect();
+        let cells: Vec<String> = cells.into_iter().map(|c| csv_escape(&c)).collect();
         assert_eq!(cells.len(), self.columns, "row arity mismatch");
         let _ = writeln!(self.out, "{}", cells.join(","));
     }
@@ -46,7 +46,9 @@ impl Csv {
     }
 }
 
-fn escape(cell: &str) -> String {
+/// RFC-4180 cell escaping: cells holding a comma, quote or newline are
+/// quoted, with embedded quotes doubled; anything else passes through.
+pub fn csv_escape(cell: &str) -> String {
     if cell.contains(',') || cell.contains('"') || cell.contains('\n') {
         format!("\"{}\"", cell.replace('"', "\"\""))
     } else {

@@ -97,18 +97,6 @@ where
         .collect()
 }
 
-/// Applies `f` to indices `0..n` in parallel and returns results in order.
-/// Convenience wrapper for index-driven workloads (e.g. one result per
-/// simulated day or per parameter-grid cell).
-pub fn par_map_indexed<R, F>(n: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let idx: Vec<usize> = (0..n).collect();
-    par_map(&idx, |_, &i| f(i))
-}
-
 /// Safe single-writer slot views over a `Vec<Option<R>>`.
 ///
 /// Each slot is written by exactly one worker (the one that claimed its
@@ -199,12 +187,6 @@ mod tests {
         let seq: Vec<f64> = items.iter().map(|x| (x.sin() * x.cos()).abs()).collect();
         let par = par_map(&items, |_, x| (x.sin() * x.cos()).abs());
         assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn par_map_indexed_basic() {
-        let out = par_map_indexed(5, |i| i * i);
-        assert_eq!(out, vec![0, 1, 4, 9, 16]);
     }
 
     #[test]

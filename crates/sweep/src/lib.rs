@@ -57,9 +57,6 @@
 //! let bytes = csv.into_inner();
 //! assert_eq!(bytes.iter().filter(|&&b| b == b'\n').count(), grid.len() + 1);
 //! ```
-//!
-//! The pre-streaming `SweepExecutor`/`SweepResults` API still works but
-//! is deprecated; it collects every row in memory.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -74,8 +71,6 @@ pub mod summary;
 pub mod table;
 
 pub use context::SweepContext;
-#[allow(deprecated)]
-pub use exec::SweepExecutor;
 pub use exec::{Sweep, SweepConfig, SweepError, SweepReport};
 pub use grid::ScenarioGrid;
 pub use scenario::{
@@ -88,6 +83,4 @@ pub use shard::{
 };
 pub use sink::{fnv1a64, CollectSink, CsvSink, JsonSink, RowSink, SinkDigest};
 pub use summary::SummaryAccumulator;
-#[allow(deprecated)]
-pub use table::SweepResults;
 pub use table::{MetricSummary, SweepRow};

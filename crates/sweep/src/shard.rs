@@ -136,6 +136,7 @@ fn field<'a>(obj: &'a Json, key: &str, ctx: &str) -> io::Result<&'a Json> {
 
 fn usize_field(obj: &Json, key: &str, ctx: &str) -> io::Result<usize> {
     match field(obj, key, ctx)? {
+        Json::Int(v) => Ok(*v as usize),
         Json::Num(v) if *v >= 0.0 && v.fract() == 0.0 => Ok(*v as usize),
         other => Err(invalid(format!(
             "manifest {ctx}: `{key}` must be a non-negative integer, got {}",

@@ -5,13 +5,12 @@
 //! sink sees three calls — [`RowSink::begin`] once, [`RowSink::row`]
 //! per row, [`RowSink::finish`] once — and must never buffer rows:
 //! bounded sweep memory at 10^6 scenarios depends on sinks being O(1)
-//! in row count ([`CollectSink`] is the deliberate exception, kept for
-//! the deprecated [`crate::SweepResults`] compatibility path).
+//! in row count ([`CollectSink`] is the deliberate exception, for tests
+//! and small in-process analyses).
 //!
 //! ## The frozen byte contract
 //!
-//! [`CsvSink`] and [`JsonSink`] are THE sweep emitters: the historical
-//! `SweepResults::to_csv`/`to_json` now delegate to them, and golden
+//! [`CsvSink`] and [`JsonSink`] are THE sweep emitters, and golden
 //! tests pin their output to the pre-streaming bytes for the default,
 //! quick, and shifting grids. Anything here that changes a byte is a
 //! breaking change to downstream diff-based CI.
@@ -32,6 +31,7 @@
 
 use crate::scenario::Scenario;
 use crate::table::{SweepRow, COLUMNS, FORECAST_COLUMNS};
+use hpcarbon_report::emit::csv_escape;
 use std::io::{self, Write};
 
 /// FNV-1a 64 offset basis.
@@ -166,15 +166,6 @@ fn dimension_cells(s: &Scenario) -> [String; 9] {
         s.upgrade.label(),
         s.seed.to_string(),
     ]
-}
-
-/// RFC-4180 cell escaping (matches `hpcarbon_report::emit::Csv`).
-fn csv_escape(cell: &str) -> String {
-    if cell.contains(',') || cell.contains('"') || cell.contains('\n') {
-        format!("\"{}\"", cell.replace('"', "\"\""))
-    } else {
-        cell.to_string()
-    }
 }
 
 /// The CSV header line (with trailing newline).
@@ -527,8 +518,7 @@ impl<W: Write> RowSink for JsonSink<W> {
 }
 
 /// Collects rows into memory — O(rows), **not** for million-scenario
-/// sweeps. Exists to back the deprecated [`crate::SweepResults`]
-/// compatibility wrapper and small in-process analyses.
+/// sweeps. For tests and small in-process analyses.
 #[derive(Debug, Default)]
 pub struct CollectSink {
     rows: Vec<SweepRow>,
@@ -543,12 +533,6 @@ impl CollectSink {
     /// The collected rows, grid order.
     pub fn rows(&self) -> &[SweepRow] {
         &self.rows
-    }
-
-    /// Consumes the collector into the legacy results table.
-    #[allow(deprecated)]
-    pub fn into_results(self) -> crate::table::SweepResults {
-        crate::table::SweepResults::new(self.rows)
     }
 }
 

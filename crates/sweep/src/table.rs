@@ -1,16 +1,15 @@
-//! The result table: per-scenario rows, summary statistics, rankings,
-//! and the legacy collected-results wrapper.
+//! The result table's shape: per-scenario rows, summary statistics, and
+//! the column contract.
 //!
-//! Emission lives in [`crate::sink`] — [`SweepResults::to_csv`] and
-//! [`SweepResults::to_json`] drive the same [`CsvSink`]/[`JsonSink`]
-//! the streaming executor uses, so there is exactly one byte contract.
+//! Emission lives in [`crate::sink`] ([`CsvSink`]/[`JsonSink`] follow
+//! `COLUMNS`); summaries and rankings are folded online by
+//! [`crate::SummaryAccumulator`] and returned in the
+//! [`crate::SweepReport`].
 //!
 //! [`CsvSink`]: crate::sink::CsvSink
 //! [`JsonSink`]: crate::sink::JsonSink
 
 use crate::scenario::{Scenario, ScenarioError, ScenarioOutcome};
-use crate::sink::{CsvSink, JsonSink, RowSink};
-use crate::summary::SummaryAccumulator;
 use hpcarbon_report::emit::MarkdownTable;
 
 /// One evaluated grid point.
@@ -88,135 +87,54 @@ pub(crate) fn summary_markdown(summaries: &[MetricSummary]) -> String {
     t.finish()
 }
 
-/// The collected sweep result, rows in grid order.
-///
-/// Holds every row in memory — the pre-streaming API shape, kept as a
-/// compatibility wrapper over [`crate::CollectSink`]. New code should
-/// stream: attach sinks to [`crate::Sweep`] and read the
-/// [`crate::SweepReport`], which carries the same summary/ranking data
-/// without retaining rows.
-#[deprecated(
-    note = "collects every row in memory; stream through `Sweep::over(&grid)…sink(…)` \
-            and use the returned `SweepReport` (or `CollectSink` when rows are needed)"
-)]
-#[derive(Debug, Clone)]
-pub struct SweepResults {
-    rows: Vec<SweepRow>,
-}
-
-#[allow(deprecated)]
-impl SweepResults {
-    /// Wraps evaluated rows (grid order).
-    pub fn new(rows: Vec<SweepRow>) -> SweepResults {
-        SweepResults { rows }
-    }
-
-    /// All rows, grid order.
-    pub fn rows(&self) -> &[SweepRow] {
-        &self.rows
-    }
-
-    /// Total rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when the sweep had zero scenarios.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Rows that evaluated successfully.
-    pub fn ok_count(&self) -> usize {
-        self.rows.iter().filter(|r| r.outcome.is_ok()).count()
-    }
-
-    /// Rows that failed soft.
-    pub fn error_count(&self) -> usize {
-        self.rows.len() - self.ok_count()
-    }
-
-    /// The `k` successful rows with the lowest scheduled carbon,
-    /// ascending; ties break by grid order. Error rows are skipped
-    /// wherever they appear — an all-error sweep ranks to an empty
-    /// list.
-    pub fn rank_by_sched_carbon(&self, k: usize) -> Vec<&SweepRow> {
-        let mut ok: Vec<&SweepRow> = self.rows.iter().filter(|r| r.outcome.is_ok()).collect();
-        ok.sort_by(|a, b| {
-            // lint: allow(panic-in-library) -- `ok` holds only rows that passed the is_ok() filter two lines up
-            let ka = a.outcome.as_ref().expect("filtered ok").sched_carbon_kg;
-            // lint: allow(panic-in-library) -- same filter guarantee as the line above
-            let kb = b.outcome.as_ref().expect("filtered ok").sched_carbon_kg;
-            ka.total_cmp(&kb).then(a.scenario.id.cmp(&b.scenario.id))
-        });
-        ok.truncate(k);
-        ok
-    }
-
-    /// Feeds `self`'s rows through a sink writing to an in-memory
-    /// buffer (which the caller reads afterwards).
-    fn emit(&self, mut sink: impl RowSink) {
-        // lint: allow(panic-in-library) -- the only callers pass sinks over Vec<u8> buffers, whose io::Write impl is infallible
-        sink.begin().expect("in-memory sink cannot fail");
-        for r in &self.rows {
-            // lint: allow(panic-in-library) -- same Vec<u8>-backed sink guarantee as begin()
-            sink.row(r).expect("in-memory sink cannot fail");
-        }
-        // lint: allow(panic-in-library) -- same Vec<u8>-backed sink guarantee as begin()
-        sink.finish().expect("in-memory sink cannot fail");
-    }
-
-    /// Min/mean/max summaries of the headline metrics over successful
-    /// rows (error rows are skipped wherever they appear). Empty when
-    /// no row succeeded.
-    pub fn summary(&self) -> Vec<MetricSummary> {
-        let mut acc = SummaryAccumulator::new(0);
-        for r in &self.rows {
-            // lint: allow(panic-in-library) -- SummaryAccumulator::row is infallible (pure folds over the row's metrics)
-            acc.row(r).expect("accumulator cannot fail");
-        }
-        acc.summary()
-    }
-
-    /// The summary as an aligned Markdown table (terminal-friendly).
-    pub fn summary_table(&self) -> String {
-        summary_markdown(&self.summary())
-    }
-
-    /// Emits the full table as RFC-4180 CSV, header first, rows in grid
-    /// order. Error rows carry the error message and empty metric cells.
-    pub fn to_csv(&self) -> String {
-        let mut buf = Vec::new();
-        self.emit(CsvSink::new(&mut buf));
-        // The emitter only writes UTF-8, so the lossy conversion never
-        // actually substitutes anything.
-        String::from_utf8_lossy(&buf).into_owned()
-    }
-
-    /// Emits the table as a JSON array of objects with a **uniform
-    /// schema**: every row carries every CSV column. `id` and `seed` are
-    /// numbers; the other dimensions are strings; `error` and `verdict`
-    /// are strings or `null`; metrics are numbers or `null` (always
-    /// `null` on error rows, mirroring the CSV's empty cells).
-    pub fn to_json(&self) -> String {
-        let mut buf = Vec::new();
-        self.emit(JsonSink::new(&mut buf));
-        // Same lossy-conversion reasoning as to_csv().
-        String::from_utf8_lossy(&buf).into_owned()
-    }
-}
-
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
-    use crate::exec::{SweepConfig, SweepExecutor};
+    use crate::exec::{Sweep, SweepConfig, SweepReport};
     use crate::grid::ScenarioGrid;
+    use crate::sink::{CollectSink, CsvSink, JsonSink, RowSink};
+    use crate::summary::SummaryAccumulator;
 
-    fn results() -> SweepResults {
-        SweepExecutor::new(SweepConfig::fast())
-            .with_threads(2)
-            .run(&ScenarioGrid::quick())
+    /// A streamed run of `grid`: the report, both documents, and the
+    /// rows in grid order.
+    struct Run {
+        report: SweepReport,
+        csv: String,
+        json: String,
+        rows: Vec<SweepRow>,
+    }
+
+    fn run(grid: &ScenarioGrid) -> Run {
+        let mut csv = CsvSink::new(Vec::new());
+        let mut json = JsonSink::new(Vec::new());
+        let mut collect = CollectSink::new();
+        let report = Sweep::over(grid)
+            .config(SweepConfig::fast())
+            .threads(2)
+            .sink(&mut csv)
+            .sink(&mut json)
+            .sink(&mut collect)
+            .run()
+            .unwrap();
+        Run {
+            report,
+            csv: String::from_utf8(csv.into_inner()).unwrap(),
+            json: String::from_utf8(json.into_inner()).unwrap(),
+            rows: collect.rows().to_vec(),
+        }
+    }
+
+    fn quick() -> Run {
+        run(&ScenarioGrid::quick())
+    }
+
+    /// Feeds `rows` through `sink` as one complete stream.
+    fn feed(sink: &mut dyn RowSink, rows: &[SweepRow]) {
+        sink.begin().unwrap();
+        for r in rows {
+            sink.row(r).unwrap();
+        }
+        sink.finish().unwrap();
     }
 
     fn error_row(id: usize) -> SweepRow {
@@ -232,10 +150,9 @@ mod tests {
 
     #[test]
     fn csv_has_header_and_one_row_per_scenario() {
-        let r = results();
-        let csv = r.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), r.len() + 1);
+        let r = quick();
+        let lines: Vec<&str> = r.csv.lines().collect();
+        assert_eq!(lines.len(), r.report.len() + 1);
         assert!(lines[0].starts_with("id,system,storage,region,trace,pue,policy"));
         // Every row has the full column count.
         for line in &lines {
@@ -245,31 +162,26 @@ mod tests {
 
     #[test]
     fn json_is_structurally_sound() {
-        let json = results().to_json();
-        assert!(json.starts_with("[\n"));
-        assert!(json.ends_with("]\n"));
-        assert_eq!(
-            json.matches("\"status\": \"ok\"").count(),
-            results().ok_count()
-        );
+        let r = quick();
+        assert!(r.json.starts_with("[\n"));
+        assert!(r.json.ends_with("]\n"));
+        assert_eq!(r.json.matches("\"status\": \"ok\"").count(), r.report.ok);
         // Balanced braces (no nesting in the emitted objects).
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        assert_eq!(r.json.matches('{').count(), r.json.matches('}').count());
     }
 
     #[test]
     fn json_schema_is_uniform_across_ok_and_error_rows() {
         // Run a grid that contains infeasible points so both row kinds
         // appear, then check every row carries every column key.
-        let r = SweepExecutor::new(SweepConfig::fast())
-            .with_threads(2)
-            .run(&ScenarioGrid::quick().storage(crate::scenario::StorageVariant::ALL));
-        assert!(r.error_count() > 0 && r.ok_count() > 0);
-        let json = r.to_json();
-        let rows: Vec<&str> = json
+        let r = run(&ScenarioGrid::quick().storage(crate::scenario::StorageVariant::ALL));
+        assert!(r.report.errors > 0 && r.report.ok > 0);
+        let rows: Vec<&str> = r
+            .json
             .lines()
             .filter(|l| l.trim_start().starts_with('{'))
             .collect();
-        assert_eq!(rows.len(), r.len());
+        assert_eq!(rows.len(), r.report.len());
         for key in super::COLUMNS {
             for row in &rows {
                 assert!(
@@ -279,16 +191,16 @@ mod tests {
             }
         }
         // seed is a number, error rows null their metrics.
-        assert!(json.contains("\"seed\": 2021,"));
-        assert!(json.contains("\"error\": \"storage what-if"));
-        assert!(json.contains("\"sched_kg\": null"));
+        assert!(r.json.contains("\"seed\": 2021,"));
+        assert!(r.json.contains("\"error\": \"storage what-if"));
+        assert!(r.json.contains("\"sched_kg\": null"));
     }
 
     #[test]
     fn rankings_are_sorted_and_bounded() {
-        let r = results();
-        let top = r.rank_by_sched_carbon(5);
-        assert_eq!(top.len(), 5.min(r.ok_count()));
+        let r = quick();
+        let top = &r.report.top;
+        assert_eq!(top.len(), 5.min(r.report.ok));
         for w in top.windows(2) {
             let a = w[0].outcome.as_ref().unwrap().sched_carbon_kg;
             let b = w[1].outcome.as_ref().unwrap().sched_carbon_kg;
@@ -298,51 +210,49 @@ mod tests {
 
     #[test]
     fn summary_covers_the_headline_metrics() {
-        let r = results();
-        let s = r.summary();
+        let r = quick();
+        let s = &r.report.summary;
         assert!(s.iter().any(|m| m.metric == "sched_kg"));
-        for m in &s {
+        for m in s {
             assert!(m.min <= m.mean && m.mean <= m.max, "{}", m.metric);
             assert!(m.count > 0);
         }
-        let table = r.summary_table();
-        assert!(table.contains("sched_kg"));
+        assert!(r.report.summary_table().contains("sched_kg"));
     }
 
     #[test]
     fn error_rows_anywhere_leave_summary_and_ranking_total() {
         // Error rows leading, interleaved, and trailing: the statistics
         // must come out as if only the ok rows existed.
-        let base = results();
+        let base = quick().rows;
         let mut rows = vec![error_row(9000), error_row(9001)];
-        for (i, r) in base.rows().iter().enumerate() {
+        for (i, r) in base.iter().enumerate() {
             rows.push(r.clone());
             if i % 3 == 0 {
                 rows.push(error_row(9100 + i));
             }
         }
         rows.push(error_row(9999));
-        let salted = SweepResults::new(rows);
-        assert_eq!(salted.ok_count(), base.ok_count());
+        let mut salted = SummaryAccumulator::new(5);
+        feed(&mut salted, &rows);
+        let mut clean = SummaryAccumulator::new(5);
+        feed(&mut clean, &base);
+        assert_eq!(salted.ok_count(), clean.ok_count());
         let a = salted.summary();
-        let b = base.summary();
+        let b = clean.summary();
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.metric, y.metric);
             assert_eq!(x.count, y.count);
-            assert_eq!((x.min, x.mean, x.max), (y.min, y.mean, y.max));
+            assert_eq!(
+                (x.min.to_bits(), x.mean.to_bits(), x.max.to_bits()),
+                (y.min.to_bits(), y.mean.to_bits(), y.max.to_bits())
+            );
         }
-        let ra: Vec<usize> = salted
-            .rank_by_sched_carbon(5)
-            .iter()
-            .map(|r| r.scenario.id)
-            .collect();
-        let rb: Vec<usize> = base
-            .rank_by_sched_carbon(5)
-            .iter()
-            .map(|r| r.scenario.id)
-            .collect();
-        assert_eq!(ra, rb);
+        let ids = |acc: &SummaryAccumulator| -> Vec<usize> {
+            acc.top().iter().map(|r| r.scenario.id).collect()
+        };
+        assert_eq!(ids(&salted), ids(&clean));
     }
 
     #[test]
@@ -351,14 +261,19 @@ mod tests {
         // rankings are empty, and both emitters still produce complete
         // documents.
         let rows: Vec<SweepRow> = (0..4).map(error_row).collect();
-        let r = SweepResults::new(rows);
-        assert_eq!(r.ok_count(), 0);
-        assert_eq!(r.error_count(), 4);
-        assert!(r.summary().is_empty());
-        assert!(r.rank_by_sched_carbon(5).is_empty());
-        assert_eq!(r.summary_table().lines().count(), 2); // header + rule
-        assert_eq!(r.to_csv().lines().count(), 5);
-        let json = r.to_json();
+        let mut acc = SummaryAccumulator::new(5);
+        feed(&mut acc, &rows);
+        assert_eq!(acc.ok_count(), 0);
+        assert_eq!(acc.error_count(), 4);
+        assert!(acc.summary().is_empty());
+        assert!(acc.top().is_empty());
+        assert_eq!(summary_markdown(&acc.summary()).lines().count(), 2); // header + rule
+        let mut csv = CsvSink::new(Vec::new());
+        feed(&mut csv, &rows);
+        assert_eq!(csv.into_inner().iter().filter(|&&b| b == b'\n').count(), 5);
+        let mut json = JsonSink::new(Vec::new());
+        feed(&mut json, &rows);
+        let json = String::from_utf8(json.into_inner()).unwrap();
         assert!(json.starts_with("[\n") && json.ends_with("\n]\n"));
         assert_eq!(json.matches("\"status\": \"error\"").count(), 4);
     }
@@ -367,8 +282,8 @@ mod tests {
     fn greener_policies_rank_ahead_of_fifo() {
         // In the quick grid (GB + CA), greenest-window rows must beat the
         // FIFO rows from the same region/seed on scheduled carbon.
-        let r = results();
-        let best = r.rank_by_sched_carbon(1)[0];
+        let r = quick();
+        let best = &r.report.top[0];
         assert_ne!(best.scenario.policy, hpcarbon_sched::Policy::Fifo);
     }
 }

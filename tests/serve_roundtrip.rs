@@ -68,6 +68,15 @@ fn post_estimate(addr: &str, body: &str) -> (u16, String) {
     parse_response(&raw)
 }
 
+fn get_healthz(addr: &str) -> (u16, String) {
+    let mut s = TcpStream::connect(addr).unwrap();
+    s.write_all(b"GET /healthz HTTP/1.1\r\nconnection: close\r\n\r\n")
+        .unwrap();
+    let mut raw = String::new();
+    s.read_to_string(&mut raw).unwrap();
+    parse_response(&raw)
+}
+
 fn parse_response(raw: &str) -> (u16, String) {
     let status: u16 = raw
         .split(' ')
@@ -252,14 +261,25 @@ fn bad_json_is_a_400_with_the_apierror_kind() {
 }
 
 #[test]
+fn deeply_nested_json_is_a_400_and_the_server_keeps_serving() {
+    // 30k open brackets fit the 64 KiB body limit but would overflow an
+    // unbounded recursive-descent parser and abort the process.
+    let (addr, handle, join) = start_server(1, 0);
+    let (status, body) = post_estimate(&addr, &"[".repeat(30_000));
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("\"kind\": \"parse\""), "{body}");
+    assert!(body.contains("nesting deeper than 64 levels"), "{body}");
+    let (status, body) = get_healthz(&addr);
+    assert_eq!(status, 200);
+    assert_eq!(body, "ok\n");
+    handle.shutdown();
+    join.join().unwrap();
+}
+
+#[test]
 fn healthz_answers_and_shutdown_reports_the_traffic() {
     let (addr, handle, join) = start_server(2, 64);
-    let mut s = TcpStream::connect(&addr).unwrap();
-    s.write_all(b"GET /healthz HTTP/1.1\r\nconnection: close\r\n\r\n")
-        .unwrap();
-    let mut raw = String::new();
-    s.read_to_string(&mut raw).unwrap();
-    let (status, body) = parse_response(&raw);
+    let (status, body) = get_healthz(&addr);
     assert_eq!(status, 200);
     assert_eq!(body, "ok\n");
     handle.shutdown();

@@ -209,17 +209,3 @@ fn facade_prelude_exposes_the_sweep_types() {
     assert_eq!(report.errors, 0);
     assert_eq!(collect.rows().len(), 16);
 }
-
-#[test]
-#[allow(deprecated)]
-fn deprecated_executor_matches_the_streaming_engine() {
-    // The pre-streaming API still answers, with the same bytes.
-    let grid = ScenarioGrid::quick();
-    let results = SweepExecutor::new(SweepConfig::fast())
-        .with_threads(2)
-        .run(&grid);
-    let (report, csv, json) = run_full(&grid, 2);
-    assert_eq!(results.len(), report.len());
-    assert_eq!(results.to_csv().into_bytes(), csv);
-    assert_eq!(results.to_json().into_bytes(), json);
-}

@@ -48,7 +48,7 @@ fn quick_grid_reproduces_the_committed_fixtures() {
 #[test]
 fn all_named_grids_match_their_recorded_digests() {
     // (grid, csv bytes, csv fnv64, json bytes, json fnv64) — recorded
-    // from the pre-streaming SweepExecutor at SweepConfig::fast().
+    // from the pre-streaming batch executor at SweepConfig::fast().
     let golden: [(&str, ScenarioGrid, usize, u64, usize, u64); 3] = [
         (
             "default",
