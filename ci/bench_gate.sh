@@ -7,6 +7,9 @@
 # BENCH_trace.json — uploaded as CI artifacts), and compares against the
 # committed baseline:
 #
+#   * every [[bench]] target declared in crates/bench/Cargo.toml must be
+#     one of SUITES — a suite the gate does not run fails the gate before
+#     any benchmark runs, so unrun benches cannot accumulate;
 #   * a benchmark slower than baseline × BENCH_GATE_MAX_RATIO fails the
 #     gate (regression);
 #   * a benchmark faster than baseline ÷ BENCH_GATE_MAX_RATIO prints a
@@ -47,6 +50,20 @@ MIN_SWEEP_SPEEDUP="${BENCH_GATE_MIN_SWEEP_SPEEDUP:-2}"
 OUT_DIR="${BENCH_GATE_OUT_DIR:-ci/out}"
 BASELINE="${BENCH_GATE_BASELINE:-ci/bench_baseline.json}"
 SUITES=(bench_window_index bench_sweep bench_serve bench_trace)
+BENCH_MANIFEST=crates/bench/Cargo.toml
+
+# --- gate 0: every declared bench target is a gated suite ------------------
+declared=$(awk '
+    /^\[/ { in_bench = ($0 ~ /^\[\[bench\]\]/); next }
+    in_bench && /^name *=/ { v = $0; sub(/^name *= *"/, "", v); sub(/".*$/, "", v); print v }
+' "$BENCH_MANIFEST")
+for target in $declared; do
+    if [[ " ${SUITES[*]} " != *" $target "* ]]; then
+        echo "FAIL: $BENCH_MANIFEST declares [[bench]] '$target', which is not in SUITES (gate it in ci/bench_gate.sh or delete it)"
+        exit 1
+    fi
+done
+echo "OK: every [[bench]] in $BENCH_MANIFEST is gated (${SUITES[*]})"
 mkdir -p "$OUT_DIR"
 
 # --- run one suite and emit its JSON ---------------------------------------

@@ -6,9 +6,8 @@
 //! closed-form harmonics instead: a diurnal double-harmonic in local time,
 //! a seasonal cosine, a weekend dip, and fuel-mix-weighted
 //! Ornstein–Uhlenbeck noise from forked [`SimRng`] substreams. One
-//! synthetic year costs a few harmonic evaluations per hour — about half
-//! a dispatch year (`bench_shifting` tracks the ratio) with no
-//! merit-order state to calibrate — and any number of them can be derived
+//! synthetic year costs a few harmonic evaluations per hour, with no
+//! merit-order state to calibrate, and any number of them can be derived
 //! per region by varying the seed, so scenario sweeps are not limited to
 //! the shipped trace set.
 //!
@@ -156,10 +155,9 @@ fn gaussian_bump(h: f64, center: f64, sigma: f64) -> f64 {
 
 /// Generates the default synthetic year for a region — the
 /// [`SyntheticSpec::for_region`] spec evaluated at `(year, seed)`.
-/// Deterministic in `(operator, year, seed)`, and cheaper than
-/// [`crate::sim::simulate_year`]'s full dispatch (about 2× in
-/// `bench_shifting`) with no per-region calibration needed for custom
-/// specs.
+/// Deterministic in `(operator, year, seed)`; unlike
+/// [`crate::sim::simulate_year`]'s full dispatch, it needs no per-region
+/// calibration for custom specs.
 pub fn synthesize_year(operator: OperatorId, year: i32, seed: u64) -> IntensityTrace {
     SyntheticSpec::for_region(operator).generate(year, seed)
 }

@@ -166,7 +166,7 @@ pub(crate) fn run(
             let mailboxes = mailboxes.clone();
             std::thread::Builder::new()
                 .name(format!("estimate-{i}"))
-                .spawn(move || worker_loop(&rx, &service, &mailboxes))
+                .spawn(move || estimate_worker(&rx, &service, &mailboxes))
                 // lint: allow(panic-in-library) -- thread spawn fails only on OS resource exhaustion at startup; a loud stop beats serving with a silently smaller pool
                 .expect("spawn worker")
         })
@@ -290,7 +290,7 @@ fn accept_loop(
 
 /// The worker pool: uncached requests through the full service, results
 /// back to the owning shard.
-fn worker_loop(
+fn estimate_worker(
     rx: &Mutex<mpsc::Receiver<Job>>,
     service: &EstimateService,
     mailboxes: &[Arc<Mailbox>],
@@ -723,9 +723,8 @@ impl Shard {
         }
     }
 
-    /// Queues head + body and flushes. Decides the connection's fate
-    /// exactly like the blocking server: keep-alive unless the request
-    /// or response says close — or the server is draining.
+    /// Queues head + body and flushes. The connection stays open unless
+    /// the request or response says close — or the server is draining.
     fn queue_response(&mut self, token: usize, response: &HttpResponse, request_keep: bool) {
         let keep = request_keep && !response.close && !self.shutdown.load(Ordering::Relaxed);
         let Some(conn) = self.slab.get_mut(token) else {

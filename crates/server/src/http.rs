@@ -1,20 +1,20 @@
-//! A minimal HTTP/1.1 reader/writer, in blocking and incremental form.
+//! A minimal HTTP/1.1 request parser and response writer.
 //!
 //! The offline dependency set has no HTTP crate, so the server speaks the
 //! protocol through this module. Two front ends share one head-parsing
 //! core (`parse_request_line`/`HeadFields` — single source of truth,
 //! so their verdicts can never diverge):
 //!
-//! - [`read_request`]/[`read_request_replying`]: the blocking reader over
-//!   any [`BufRead`] (testable on in-memory cursors), used by the
-//!   load-generator clients and the non-Linux fallback server;
 //! - [`RequestParser`]: the **incremental** push parser the epoll event
 //!   loop drives. Bytes arrive in whatever fragments the kernel delivers
 //!   ([`RequestParser::feed`]); [`RequestParser::poll`] yields a request
 //!   exactly when one is complete. Its output is byte-identical to
 //!   one-shot parsing **at every possible chunk boundary** — the
 //!   property test battery in `tests/prop_parser.rs` holds the two front
-//!   ends equal over arbitrary chunkings and pipelined interleavings.
+//!   ends equal over arbitrary chunkings and pipelined interleavings;
+//! - [`read_request`]: the one-shot reader over any [`BufRead`], the
+//!   independent reference those tests (and the parse benchmark) hold
+//!   the incremental parser against.
 //!
 //! Scope is deliberately narrow — the two methods the routes need,
 //! `Content-Length` bodies only — but the narrow slice is implemented
@@ -27,10 +27,9 @@
 //!   (→ 413), an oversized header block [`HttpError::HeadersTooLarge`]
 //!   (→ 431), a protocol violation [`HttpError::Malformed`] (→ 400) — the
 //!   service maps each to its status code;
-//! - **idle is not an error**: for the blocking reader a timeout before
-//!   the first byte of a request is [`HttpError::Idle`]; the event loop
-//!   gets the same signal from [`RequestParser::is_mid_request`] plus its
-//!   own deadline bookkeeping.
+//! - **idle is not an error**: the event loop tells an idle keep-alive
+//!   connection from a peer mid-request with
+//!   [`RequestParser::is_mid_request`] plus its own deadline bookkeeping.
 
 use std::io::{BufRead, ErrorKind, Write};
 use std::time::{Duration, Instant};
@@ -39,10 +38,9 @@ use std::time::{Duration, Instant};
 pub const MAX_HEADER_BYTES: usize = 8 * 1024;
 
 /// Once a request's first byte has arrived, the peer gets this long to
-/// deliver the rest. Socket read timeouts are short (they double as the
-/// shutdown-poll tick), so mid-request timeouts *retry* until this
-/// deadline — a slow writer, or a client like curl waiting out its
-/// `Expect: 100-continue` grace period, is not a stalled peer.
+/// deliver the rest. Within it, a slow writer, or a client like curl
+/// waiting out its `Expect: 100-continue` grace period, is not a stalled
+/// peer; past it, a slow-drip one is dropped.
 pub const REQUEST_READ_DEADLINE: Duration = Duration::from_secs(10);
 
 /// One parsed HTTP request.
@@ -101,9 +99,6 @@ pub enum HttpError {
     /// The peer closed the connection cleanly between requests — the
     /// normal end of a keep-alive session, not a failure.
     Closed,
-    /// A read timed out before the first byte of a request: the
-    /// connection is idle. The worker polls the shutdown flag and retries.
-    Idle,
     /// The bytes violate the protocol (bad request line, bad
     /// `Content-Length`, an unsupported transfer coding, …) → 400.
     Malformed(String),
@@ -123,7 +118,6 @@ impl std::fmt::Display for HttpError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             HttpError::Closed => write!(f, "connection closed"),
-            HttpError::Idle => write!(f, "connection idle"),
             HttpError::Malformed(msg) => write!(f, "malformed request: {msg}"),
             HttpError::BodyTooLarge { limit } => {
                 write!(f, "request body exceeds the {limit}-byte limit")
@@ -286,39 +280,21 @@ impl HeadFields {
 
 /// Reads and parses one request off the stream.
 ///
-/// Returns [`HttpError::Idle`] when the read times out before the first
-/// byte (keep-alive connection with nothing pending) and
-/// [`HttpError::Closed`] on a clean EOF between requests; all other
-/// variants are real failures. Pipelined requests are supported by
+/// Returns [`HttpError::Closed`] on a clean EOF between requests; all
+/// other variants are real failures. Pipelined requests are supported by
 /// construction: this consumes exactly one request's bytes, leaving the
 /// next request buffered.
 ///
-/// Clients that announce `Expect: 100-continue` (curl does for any
-/// non-trivial POST body) are ignored here — the body is read on the
-/// normal deadline. To answer the interim `100 Continue` and unblock
-/// such clients immediately, use [`read_request_replying`].
+/// `Expect: 100-continue` gets no interim response here — the body is
+/// read on the normal deadline. The event loop answers it through
+/// [`RequestParser::take_interim`].
 pub fn read_request(r: &mut impl BufRead, max_body: usize) -> Result<HttpRequest, HttpError> {
-    read_request_replying(r, max_body, &mut std::io::sink())
-}
-
-/// [`read_request`] with a write-back channel for interim responses:
-/// when the client sent `Expect: 100-continue` and the declared body is
-/// acceptable, `HTTP/1.1 100 Continue` is written to `interim` before
-/// the body is read (an oversized declaration skips the interim and
-/// fails straight to 413). The server's connection loop passes the
-/// response stream here.
-pub fn read_request_replying(
-    r: &mut impl BufRead,
-    max_body: usize,
-    interim: &mut impl Write,
-) -> Result<HttpRequest, HttpError> {
-    // Distinguish idle/closed *before* committing to a request.
+    // Distinguish a clean close *before* committing to a request.
     loop {
         match r.fill_buf() {
             Ok([]) => return Err(HttpError::Closed),
             Ok(_) => break,
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(e) if is_timeout(e.kind()) => return Err(HttpError::Idle),
             Err(e) => return Err(HttpError::Io(e.to_string())),
         }
     }
@@ -340,23 +316,9 @@ pub fn read_request_replying(
             .map_err(|_| HttpError::Malformed("header line is not UTF-8".into()))?;
         fields.apply(&line)?;
     }
-    let HeadFields {
-        keep_alive,
-        content_length,
-        expect_continue,
-    } = fields;
-
-    let len = content_length.unwrap_or(0);
+    let len = fields.content_length.unwrap_or(0);
     if len > max_body {
-        // No interim response: the final answer is the 413.
         return Err(HttpError::BodyTooLarge { limit: max_body });
-    }
-    if expect_continue && len > 0 {
-        // Unblock Expect-aware clients (curl waits up to 1 s otherwise).
-        interim
-            .write_all(b"HTTP/1.1 100 Continue\r\n\r\n")
-            .and_then(|()| interim.flush())
-            .map_err(|e| HttpError::Io(e.to_string()))?;
     }
     let mut body = vec![0u8; len];
     let mut filled = 0;
@@ -379,7 +341,7 @@ pub fn read_request_replying(
         method,
         target,
         body,
-        keep_alive,
+        keep_alive: fields.keep_alive,
     })
 }
 
@@ -466,8 +428,9 @@ impl RequestParser {
     }
 
     /// The one-shot `100 Continue` interim response, if the most recently
-    /// completed head requested it. The caller writes these bytes before
-    /// the final response (mirroring [`read_request_replying`]).
+    /// completed head requested it with an acceptable body. The caller
+    /// writes these bytes before the final response; an oversized body
+    /// gets no interim, only the 413.
     pub fn take_interim(&mut self) -> Option<&'static [u8]> {
         if self.interim {
             self.interim = false;
@@ -763,45 +726,6 @@ mod tests {
     }
 
     #[test]
-    fn expect_100_continue_gets_an_interim_response() {
-        // curl sends `Expect: 100-continue` for non-trivial POST bodies
-        // and waits for the interim response before sending the body;
-        // the reader must answer it before reading on.
-        let raw =
-            "POST /v1/estimate HTTP/1.1\r\nexpect: 100-continue\r\ncontent-length: 2\r\n\r\n{}";
-        let mut interim = Vec::new();
-        let req = read_request_replying(
-            &mut Cursor::new(raw.as_bytes().to_vec()),
-            1024,
-            &mut interim,
-        )
-        .unwrap();
-        assert_eq!(req.body, b"{}");
-        assert_eq!(interim, b"HTTP/1.1 100 Continue\r\n\r\n");
-        // Without the header no interim is written…
-        let raw = "POST / HTTP/1.1\r\ncontent-length: 2\r\n\r\n{}";
-        let mut interim = Vec::new();
-        read_request_replying(
-            &mut Cursor::new(raw.as_bytes().to_vec()),
-            1024,
-            &mut interim,
-        )
-        .unwrap();
-        assert!(interim.is_empty());
-        // …and an oversized declaration fails straight to 413, no 100.
-        let raw = "POST / HTTP/1.1\r\nexpect: 100-continue\r\ncontent-length: 9999\r\n\r\n";
-        let mut interim = Vec::new();
-        let err = read_request_replying(
-            &mut Cursor::new(raw.as_bytes().to_vec()),
-            1024,
-            &mut interim,
-        )
-        .unwrap_err();
-        assert_eq!(err, HttpError::BodyTooLarge { limit: 1024 });
-        assert!(interim.is_empty());
-    }
-
-    #[test]
     fn truncated_body_is_an_io_error() {
         let err = parse("POST / HTTP/1.1\r\ncontent-length: 10\r\n\r\nshort").unwrap_err();
         assert!(matches!(err, HttpError::Io(_)), "{err:?}");
@@ -916,6 +840,34 @@ mod tests {
         let req = p.poll().unwrap().unwrap();
         assert_eq!(req.body, b"{}");
         assert!(!p.is_mid_request(), "back to idle between requests");
+    }
+
+    #[test]
+    fn expect_100_continue_gets_an_interim_response() {
+        // curl sends `Expect: 100-continue` for non-trivial POST bodies
+        // and waits for the interim response before sending the body;
+        // the parser must arm it once the head is accepted.
+        let mut p = RequestParser::new(1024);
+        p.feed(
+            b"POST /v1/estimate HTTP/1.1\r\nexpect: 100-continue\r\ncontent-length: 2\r\n\r\n{}",
+        );
+        assert_eq!(p.poll().unwrap().unwrap().body, b"{}");
+        assert_eq!(
+            p.take_interim(),
+            Some(b"HTTP/1.1 100 Continue\r\n\r\n".as_slice())
+        );
+        // Without the header no interim is armed…
+        p.feed(b"POST / HTTP/1.1\r\ncontent-length: 2\r\n\r\n{}");
+        assert_eq!(p.poll().unwrap().unwrap().body, b"{}");
+        assert_eq!(p.take_interim(), None);
+        // …and an oversized declaration fails straight to 413, no 100.
+        let mut p = RequestParser::new(1024);
+        p.feed(b"POST / HTTP/1.1\r\nexpect: 100-continue\r\ncontent-length: 9999\r\n\r\n");
+        assert_eq!(
+            p.poll().unwrap_err(),
+            HttpError::BodyTooLarge { limit: 1024 }
+        );
+        assert_eq!(p.take_interim(), None);
     }
 
     #[test]

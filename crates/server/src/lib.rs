@@ -2,16 +2,17 @@
 //!
 //! An always-on front end for the estimation API: a hand-rolled,
 //! **std-only** HTTP/1.1 server (`hpcarbon serve`) and the matching load
-//! generator (`hpcarbon loadgen`). No async runtime, no HTTP crate — on
-//! Linux a readiness-based epoll event loop (raw syscalls declared by
-//! hand, same idiom as the `signal(2)` shim): one acceptor feeds N
+//! generator (`hpcarbon loadgen`). No async runtime, no HTTP crate — a
+//! readiness-based epoll event loop (raw syscalls declared by hand, same
+//! idiom as the `signal(2)` shim): one acceptor feeds N
 //! event-loop shards, each owning a connection [`slab::Slab`], driving
 //! the incremental [`http::RequestParser`] off non-blocking reads. Cache
 //! hits are answered directly on the event loop with zero body copies
 //! (`Arc`'d rendered responses); only uncached estimation is handed to
 //! the retained worker pool, which signals completion back through an
-//! `eventfd`. Elsewhere, a blocking thread-per-connection fallback with
-//! identical observable behavior.
+//! `eventfd`. Serving is Linux only: elsewhere [`Server::run`] returns
+//! [`std::io::ErrorKind::Unsupported`]; the cache, parser, service and
+//! load generator build everywhere.
 //!
 //! ## Routes
 //!
@@ -36,10 +37,11 @@
 //! ## Graceful shutdown
 //!
 //! `SIGTERM`/`SIGINT` (or a programmatic [`ShutdownHandle`]) stop the
-//! accept loop; queued connections drain, in-flight requests complete and
-//! their responses are written, then workers join and [`Server::run`]
-//! returns a [`ServeSummary`] — the CI smoke job asserts exactly this
-//! sequence.
+//! acceptor; each shard drains — connections already handed over are
+//! served, in-flight requests complete and their responses are written,
+//! idle keep-alive connections close — then workers join and
+//! [`Server::run`] returns a [`ServeSummary`]. The CI smoke job asserts
+//! exactly this sequence.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

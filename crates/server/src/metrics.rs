@@ -20,8 +20,8 @@ use std::sync::OnceLock;
 pub const LATENCY_BUCKETS_US: [u64; 6] = [100, 500, 1_000, 5_000, 20_000, 100_000];
 
 /// Per-shard event-loop statistics, rendered as labeled `/metrics` lines
-/// (`shard_open_connections{shard="0"} …`). Only the event-loop server
-/// initializes these; the blocking fallback renders none.
+/// (`shard_open_connections{shard="0"} …`). The event loop initializes
+/// these at startup; a service that never served renders none.
 #[derive(Debug, Default)]
 pub struct ShardStats {
     /// Connections currently open on this shard (gauge).

@@ -17,8 +17,9 @@
 //!
 //! Errors surface as [`std::io::Error`] (std reads `errno` itself via
 //! `Error::last_os_error`), so `EINTR`/`EAGAIN` handling stays idiomatic
-//! `ErrorKind` matching. Everything here is Linux-only; the non-Linux
-//! fallback server never compiles this module.
+//! `ErrorKind` matching. Everything here is Linux-only, like the event
+//! loop that uses it; on other targets the module is not compiled and
+//! the server reports that serving is unsupported.
 
 #![allow(unsafe_code)]
 

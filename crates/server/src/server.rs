@@ -1,25 +1,23 @@
-//! The listener, the serving cores, and graceful shutdown.
+//! The listener, the serving core, and graceful shutdown.
 //!
 //! ## Architecture
 //!
-//! On Linux, [`Server::run`] boots the readiness-based epoll core in
-//! [`crate::event_loop`]: the calling thread becomes the acceptor,
+//! [`Server::run`] boots the readiness-based epoll core in
+//! `crate::event_loop`: the calling thread becomes the acceptor,
 //! feeding `--shards` event-loop threads (nonblocking reads, incremental
 //! parsing, zero-copy hot-cache answers) backed by a retained pool of
-//! estimation workers. Elsewhere, a blocking thread-per-connection
-//! fallback with the same observable behavior: one accept loop pushing
-//! connections onto an [`std::sync::mpsc`] channel drained by the worker
-//! pool.
+//! estimation workers. Serving requires Linux; on other targets
+//! [`Server::run`] returns [`std::io::ErrorKind::Unsupported`].
 //!
 //! ## Shutdown
 //!
 //! [`ShutdownHandle::shutdown`] (wired to SIGTERM/SIGINT by `hpcarbon
-//! serve`) flips one flag. The accept loop notices within one poll tick
-//! and stops accepting; already-accepted connections drain — in-flight
+//! serve`) flips one flag. The event loop notices within one 25 ms tick:
+//! the acceptor stops accepting, and each shard drains — in-flight
 //! requests complete and their responses are written announcing
 //! `Connection: close` (so even a never-idle client releases its slot),
-//! idle keep-alive connections close at the next tick — then all threads
-//! join and [`Server::run`] returns a [`ServeSummary`]. A clean
+//! idle keep-alive connections close at the next sweep — then all
+//! threads join and [`Server::run`] returns a [`ServeSummary`]. A clean
 //! `SIGTERM → exit 0` is observable end to end, which is exactly what
 //! CI's smoke job asserts.
 
@@ -29,31 +27,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-#[cfg(not(target_os = "linux"))]
-use crate::http;
-#[cfg(not(target_os = "linux"))]
-use std::io::{BufReader, Write};
-#[cfg(not(target_os = "linux"))]
-use std::net::TcpStream;
-#[cfg(not(target_os = "linux"))]
-use std::sync::{mpsc, Mutex};
-
-/// How often blocked loops re-check the shutdown flag.
-#[cfg(not(target_os = "linux"))]
-const POLL_TICK: Duration = Duration::from_millis(25);
-
-/// Read timeout on idle keep-alive connections (also the worker's
-/// shutdown-poll cadence while parked on a connection).
-#[cfg(not(target_os = "linux"))]
-const IDLE_READ_TIMEOUT: Duration = Duration::from_millis(150);
-
 /// Serving knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Estimation worker threads.
     pub workers: usize,
-    /// Event-loop shards (Linux epoll core only; the blocking fallback
-    /// ignores this).
+    /// Event-loop shards: threads that each own an epoll instance and a
+    /// share of the connections.
     pub shards: usize,
     /// Canonical-request cache capacity, entries (0 disables).
     pub cache_capacity: usize,
@@ -170,7 +150,7 @@ impl Server {
     /// lifetime summary. Blocks the calling thread.
     pub fn run(self) -> std::io::Result<ServeSummary> {
         #[cfg(target_os = "linux")]
-        crate::event_loop::run(
+        let served = crate::event_loop::run(
             self.listener,
             Arc::clone(&self.service),
             Arc::clone(&self.shutdown),
@@ -180,9 +160,13 @@ impl Server {
                 max_body: self.config.max_body_bytes,
                 deadline: self.config.read_deadline,
             },
-        )?;
+        );
         #[cfg(not(target_os = "linux"))]
-        self.run_threaded()?;
+        let served: std::io::Result<()> = Err(std::io::Error::new(
+            std::io::ErrorKind::Unsupported,
+            "hpcarbon serve requires Linux (epoll)",
+        ));
+        served?;
 
         let m = self.service.metrics();
         let g = |c: &std::sync::atomic::AtomicU64| c.load(Ordering::Relaxed);
@@ -193,123 +177,10 @@ impl Server {
             cache_misses: g(&m.cache_misses),
         })
     }
-
-    /// The blocking fallback: accept loop + thread-per-connection worker
-    /// pool. Observably equivalent to the event loop (same service, same
-    /// drain semantics), minus per-shard metrics.
-    #[cfg(not(target_os = "linux"))]
-    fn run_threaded(&self) -> std::io::Result<()> {
-        self.listener.set_nonblocking(true)?;
-        let (tx, rx) = mpsc::channel::<TcpStream>();
-        let rx = Arc::new(Mutex::new(rx));
-        let handles: Vec<_> = (0..self.config.workers.max(1))
-            .map(|_| {
-                let rx = Arc::clone(&rx);
-                let service = Arc::clone(&self.service);
-                let shutdown = Arc::clone(&self.shutdown);
-                std::thread::spawn(move || worker_loop(&rx, &service, &shutdown))
-            })
-            .collect();
-
-        while !self.shutdown.load(Ordering::Relaxed) {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    // A send can only fail if every worker died; treat it
-                    // as shutdown rather than panicking the acceptor.
-                    if tx.send(stream).is_err() {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(POLL_TICK);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    // Transient accept failures (EMFILE under load spikes)
-                    // must not kill the server; back off and keep going.
-                    eprintln!("accept error: {e}");
-                    std::thread::sleep(POLL_TICK);
-                }
-            }
-        }
-
-        // Drain: no new connections; queued ones are still delivered to
-        // workers (mpsc buffers survive the sender drop), in-flight
-        // requests complete.
-        drop(tx);
-        for h in handles {
-            let _ = h.join();
-        }
-        Ok(())
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-fn worker_loop(
-    rx: &Arc<Mutex<mpsc::Receiver<TcpStream>>>,
-    service: &Arc<EstimateService>,
-    shutdown: &Arc<AtomicBool>,
-) {
-    loop {
-        // Hold the lock only for the pop, never while serving.
-        let next = match rx.lock() {
-            Ok(guard) => guard.recv(),
-            Err(_) => return,
-        };
-        match next {
-            Ok(stream) => serve_connection(stream, service, shutdown),
-            // Sender dropped and queue drained: shutdown complete.
-            Err(_) => return,
-        }
-    }
-}
-
-/// Serves one connection to completion: a keep-alive loop over
-/// (possibly pipelined) requests. On shutdown the current request still
-/// completes — drain semantics — and the connection closes at the next
-/// idle tick.
-#[cfg(not(target_os = "linux"))]
-fn serve_connection(stream: TcpStream, service: &EstimateService, shutdown: &AtomicBool) {
-    let _ = stream.set_nodelay(true);
-    if stream.set_read_timeout(Some(IDLE_READ_TIMEOUT)).is_err() {
-        return;
-    }
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    let mut writer = std::io::BufWriter::new(write_half);
-    let mut reader = BufReader::new(stream);
-    loop {
-        match http::read_request_replying(&mut reader, service.max_body_bytes(), &mut writer) {
-            Ok(req) => {
-                let resp = service.handle(&req);
-                // Drain means "finish the request in flight", not "keep
-                // serving this connection": once shutdown is requested
-                // the response itself announces the close, so even a
-                // client streaming back-to-back requests (never idle)
-                // cannot keep a worker alive past its current request.
-                let keep = req.keep_alive && !resp.close && !shutdown.load(Ordering::Relaxed);
-                if http::write_response(&mut writer, &resp, keep).is_err() || !keep {
-                    return;
-                }
-            }
-            Err(http::HttpError::Idle) => {
-                if shutdown.load(Ordering::Relaxed) {
-                    return;
-                }
-            }
-            Err(err) => {
-                if let Some(resp) = service.handle_protocol_error(&err) {
-                    let _ = http::write_response(&mut writer, &resp, false);
-                    let _ = writer.flush();
-                }
-                return;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
+#[cfg(target_os = "linux")]
 mod tests {
     use super::*;
     use std::io::{Read, Write};

@@ -156,7 +156,7 @@ impl EstimateService {
             HttpError::Malformed(msg) => error_payload(400, "http", msg),
             HttpError::BodyTooLarge { .. } => error_payload(413, "http", &err.to_string()),
             HttpError::HeadersTooLarge => error_payload(431, "http", &err.to_string()),
-            HttpError::Closed | HttpError::Idle | HttpError::Io(_) => return None,
+            HttpError::Closed | HttpError::Io(_) => return None,
         };
         // The stream position is unreliable after a protocol error (an
         // unread body may follow); close rather than misparse.
@@ -423,7 +423,6 @@ mod tests {
             .unwrap();
         assert_eq!(r431.status, 431);
         assert!(svc.handle_protocol_error(&HttpError::Closed).is_none());
-        assert!(svc.handle_protocol_error(&HttpError::Idle).is_none());
         assert!(svc
             .handle_protocol_error(&HttpError::Io("reset".into()))
             .is_none());

@@ -4,9 +4,10 @@
 //! the platform C library anyway, so the Unix implementation declares
 //! `signal(2)` itself and installs a handler that does the only
 //! async-signal-safe thing worth doing: store `true` into a static
-//! [`AtomicBool`]. Every blocking loop in this crate polls rather than
-//! parks indefinitely, so no `EINTR` choreography is needed — the serve
-//! loop notices the flag within one poll tick and starts its graceful
+//! [`AtomicBool`]. Nothing waits on the signal itself, so no `EINTR`
+//! choreography is needed: `hpcarbon serve` polls the flag from a watcher
+//! thread and forwards it to the server's shutdown handle, and the event
+//! loop, which wakes at least every 25 ms tick, starts its graceful
 //! drain.
 //!
 //! On non-Unix targets installation is a no-op and the flag can only be

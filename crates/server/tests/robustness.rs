@@ -1,13 +1,13 @@
 //! Hostile-peer robustness battery for the epoll event loop.
 //!
-//! The scenarios the readiness rewrite must survive that a blocking
-//! server never sees: a slow-loris peer dripping one byte per write, and
-//! a client that vanishes while its request is still estimating. In both
-//! cases the contract is the same — the bad connection is torn down
-//! (counted in `conn_resets_total`), its slab slot is reclaimed (the
+//! Two hostile peers a shared event-loop shard must survive: a
+//! slow-loris peer dripping one byte per write, and a client that
+//! vanishes while its request is still estimating. In both cases the
+//! contract is the same — the bad connection is torn down (counted in
+//! `conn_resets_total`), its slab slot is reclaimed (the
 //! `open_connections` gauge returns to zero), and *other* connections on
-//! the same shard keep being served throughout. Linux-only: the blocking
-//! fallback has neither shards nor the reset counter.
+//! the same shard keep being served throughout. Linux-only, like the
+//! server itself.
 #![cfg(target_os = "linux")]
 
 use hpcarbon_server::{Server, ServerConfig};

@@ -166,6 +166,41 @@ fn flags(args: &[String], name: &str) -> Vec<String> {
         .collect()
 }
 
+/// Parses `--flag value` as a `T`; `Ok(None)` when the flag is absent.
+/// A value that does not parse, or that `valid` rejects, is a usage
+/// error: `invalid {name} "{raw}" (expected {expected})`, exit code 2 —
+/// a typo must never silently run the default.
+fn typed_flag<T: std::str::FromStr>(
+    args: &[String],
+    name: &str,
+    expected: &str,
+    valid: impl Fn(&T) -> bool,
+) -> Result<Option<T>, i32> {
+    let Some(raw) = flag(args, name) else {
+        return Ok(None);
+    };
+    match raw.parse::<T>() {
+        Ok(v) if valid(&v) => Ok(Some(v)),
+        _ => {
+            eprintln!("invalid {name} \"{raw}\" (expected {expected})");
+            Err(2)
+        }
+    }
+}
+
+/// [`typed_flag`] policy for counts that must be at least 1.
+const POSITIVE: &str = "a positive integer";
+fn positive(n: &usize) -> bool {
+    *n >= 1
+}
+
+/// [`typed_flag`] policy for values whose whole range, 0 included, is
+/// meaningful.
+const NON_NEGATIVE: &str = "a non-negative integer";
+fn any<T>(_: &T) -> bool {
+    true
+}
+
 /// Parses `--gaps reject|interpolate|hold` (default reject).
 fn gaps_flag(args: &[String]) -> Result<sustainable_hpc::grid::tracefile::GapPolicy, i32> {
     use sustainable_hpc::grid::tracefile::GapPolicy;
@@ -254,16 +289,10 @@ fn cmd_estimate(args: &[String]) -> i32 {
         }
     };
     let mut builder = Estimator::builder();
-    if let Some(raw) = flag(args, "--threads") {
-        // Silent fallback would break reference runs pinned to one
-        // worker, so (unlike the legacy numeric flags) this one is typed.
-        match raw.parse::<usize>() {
-            Ok(n) if n >= 1 => builder = builder.threads(n),
-            _ => {
-                eprintln!("invalid --threads \"{raw}\" (expected a positive integer)");
-                return 2;
-            }
-        }
+    match typed_flag(args, "--threads", POSITIVE, positive) {
+        Ok(Some(n)) => builder = builder.threads(n),
+        Ok(None) => {}
+        Err(c) => return c,
     }
     match catalog_flag(args) {
         Ok(Some(source)) => builder = builder.embodied(source),
@@ -298,44 +327,26 @@ fn cmd_estimate(args: &[String]) -> i32 {
     0
 }
 
-/// Parses a typed positive-integer flag; `Ok(None)` when absent.
-fn positive_flag(args: &[String], name: &str) -> Result<Option<usize>, i32> {
-    match flag(args, name) {
-        None => Ok(None),
-        Some(raw) => match raw.parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(Some(n)),
-            _ => {
-                eprintln!("invalid {name} \"{raw}\" (expected a positive integer)");
-                Err(2)
-            }
-        },
-    }
-}
-
 fn cmd_serve(args: &[String]) -> i32 {
     let addr = flag(args, "--addr").unwrap_or_else(|| "127.0.0.1:8080".into());
     let mut config = sustainable_hpc::server::ServerConfig::default();
-    match positive_flag(args, "--shards") {
+    match typed_flag(args, "--shards", POSITIVE, positive) {
         Ok(Some(n)) => config.shards = n,
         Ok(None) => {}
         Err(c) => return c,
     }
-    match positive_flag(args, "--workers") {
+    match typed_flag(args, "--workers", POSITIVE, positive) {
         Ok(Some(n)) => config.workers = n,
         Ok(None) => {}
         Err(c) => return c,
     }
-    if let Some(raw) = flag(args, "--cache") {
-        // 0 is meaningful here: it disables the cache.
-        match raw.parse::<usize>() {
-            Ok(n) => config.cache_capacity = n,
-            Err(_) => {
-                eprintln!("invalid --cache \"{raw}\" (expected a non-negative integer)");
-                return 2;
-            }
-        }
+    // 0 is meaningful here: it disables the cache.
+    match typed_flag(args, "--cache", NON_NEGATIVE, any) {
+        Ok(Some(n)) => config.cache_capacity = n,
+        Ok(None) => {}
+        Err(c) => return c,
     }
-    match positive_flag(args, "--max-body") {
+    match typed_flag(args, "--max-body", POSITIVE, positive) {
         Ok(Some(n)) => config.max_body_bytes = n,
         Ok(None) => {}
         Err(c) => return c,
@@ -398,41 +409,26 @@ fn cmd_serve(args: &[String]) -> i32 {
 
 fn cmd_loadgen(args: &[String]) -> i32 {
     let addr = flag(args, "--addr").unwrap_or_else(|| "127.0.0.1:8080".into());
-    let requests = match positive_flag(args, "--requests") {
+    let requests = match typed_flag(args, "--requests", POSITIVE, positive) {
         Ok(n) => n.unwrap_or(64),
         Err(c) => return c,
     };
-    let concurrency = match positive_flag(args, "--concurrency") {
+    let concurrency = match typed_flag(args, "--concurrency", POSITIVE, positive) {
         Ok(n) => n.unwrap_or(8),
         Err(c) => return c,
     };
-    let wait_s = match positive_flag(args, "--wait") {
+    let wait_s = match typed_flag(args, "--wait", POSITIVE, positive) {
         Ok(n) => n.unwrap_or(10),
         Err(c) => return c,
     };
-    // 0 is meaningful (fail fast on the first refused connect), so this
-    // is not a positive_flag.
-    let connect_retries: u32 = match flag(args, "--connect-retries") {
-        None => 2,
-        Some(raw) => match raw.parse() {
-            Ok(n) => n,
-            Err(_) => {
-                eprintln!("invalid --connect-retries \"{raw}\" (expected a non-negative integer)");
-                return 2;
-            }
-        },
+    // 0 is meaningful (fail fast on the first refused connect).
+    let connect_retries: u32 = match typed_flag(args, "--connect-retries", NON_NEGATIVE, any) {
+        Ok(n) => n.unwrap_or(2),
+        Err(c) => return c,
     };
-    // A typo'd seed must not silently run the default workload — the
-    // whole point of --seed is a reproducible request sequence.
-    let seed: u64 = match flag(args, "--seed") {
-        None => 2021,
-        Some(raw) => match raw.parse() {
-            Ok(s) => s,
-            Err(_) => {
-                eprintln!("invalid --seed \"{raw}\" (expected a non-negative integer)");
-                return 2;
-            }
-        },
+    let seed: u64 = match typed_flag(args, "--seed", NON_NEGATIVE, any) {
+        Ok(s) => s.unwrap_or(2021),
+        Err(c) => return c,
     };
 
     // The workload: one file repeated (a single entry, cycled by the
@@ -460,7 +456,7 @@ fn cmd_loadgen(args: &[String]) -> i32 {
                 }
             };
             let mut cfg = SweepConfig::fast();
-            match positive_flag(args, "--jobs") {
+            match typed_flag(args, "--jobs", POSITIVE, positive) {
                 Ok(Some(n)) => cfg.jobs_per_scenario = n,
                 Ok(None) => {}
                 Err(c) => return c,
@@ -530,9 +526,10 @@ fn cmd_loadgen(args: &[String]) -> i32 {
 }
 
 fn cmd_figures(args: &[String]) -> i32 {
-    let seed: u64 = flag(args, "--seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2021);
+    let seed: u64 = match typed_flag(args, "--seed", NON_NEGATIVE, any) {
+        Ok(s) => s.unwrap_or(2021),
+        Err(c) => return c,
+    };
     let out = flag(args, "--out").unwrap_or_else(|| "out/paper".into());
     let dir = std::path::Path::new(&out);
     for a in sustainable_hpc::report::render_all(seed) {
@@ -589,9 +586,10 @@ fn cmd_systems() -> i32 {
 }
 
 fn cmd_regions(args: &[String]) -> i32 {
-    let seed: u64 = flag(args, "--seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2021);
+    let seed: u64 = match typed_flag(args, "--seed", NON_NEGATIVE, any) {
+        Ok(s) => s.unwrap_or(2021),
+        Err(c) => return c,
+    };
     let traces = simulate_all_regions(2021, seed);
     println!(
         "{:<6} {:>8} {:>8} {:>8} {:>7}",
@@ -644,10 +642,12 @@ fn cmd_advisor(args: &[String]) -> i32 {
             }
         },
     };
-    let usage = flag(args, "--usage")
-        .and_then(|s| s.parse::<f64>().ok())
-        .and_then(Fraction::new)
-        .unwrap_or_else(|| UsageLevel::Medium.fraction());
+    let in_unit = |u: &f64| Fraction::new(*u).is_some();
+    let usage = match typed_flag(args, "--usage", "a fraction in [0, 1]", in_unit) {
+        Ok(Some(u)) => Fraction::new_unchecked(u),
+        Ok(None) => UsageLevel::Medium.fraction(),
+        Err(c) => return c,
+    };
 
     // Build the request once; --region routes it at a simulated region's
     // grid, --intensity (the default, 200 g/kWh) pins a flat grid via a
@@ -672,9 +672,10 @@ fn cmd_advisor(args: &[String]) -> i32 {
             )
         }
         None => {
-            let g = flag(args, "--intensity")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(200.0);
+            let g = match typed_flag(args, "--intensity", "a number in gCO2/kWh", any) {
+                Ok(g) => g.unwrap_or(200.0),
+                Err(c) => return c,
+            };
             (
                 Estimator::builder()
                     .intensity(FlatIntensity::new(g))
@@ -742,8 +743,14 @@ fn cmd_sweep(args: &[String]) -> i32 {
     } else {
         ScenarioGrid::paper_default()
     };
-    let seed = flag(args, "--seed").and_then(|s| s.parse::<u64>().ok());
-    if let Some(n) = flag(args, "--seeds").and_then(|s| s.parse::<u64>().ok()) {
+    let (seed, seeds) = match (
+        typed_flag::<u64>(args, "--seed", NON_NEGATIVE, any),
+        typed_flag::<u64>(args, "--seeds", NON_NEGATIVE, any),
+    ) {
+        (Ok(seed), Ok(seeds)) => (seed, seeds),
+        (Err(c), _) | (_, Err(c)) => return c,
+    };
+    if let Some(n) = seeds {
         // N consecutive seeds starting at --seed (default 0): the knob
         // that scales any grid to 10^5+ rows for sharded runs.
         let base = seed.unwrap_or(0);
@@ -752,8 +759,10 @@ fn cmd_sweep(args: &[String]) -> i32 {
         grid = grid.seeds([s]);
     }
     let mut config = SweepConfig::paper_default();
-    if let Some(jobs) = flag(args, "--jobs").and_then(|s| s.parse().ok()) {
-        config.jobs_per_scenario = jobs;
+    match typed_flag(args, "--jobs", NON_NEGATIVE, any) {
+        Ok(Some(jobs)) => config.jobs_per_scenario = jobs,
+        Ok(None) => {}
+        Err(c) => return c,
     }
     config.forecast = match forecast_flag(args) {
         Ok(f) => f,
@@ -786,10 +795,14 @@ fn cmd_sweep(args: &[String]) -> i32 {
         },
         None => None,
     };
-    let threads: Option<usize> = flag(args, "--threads").and_then(|s| s.parse().ok());
-    let top: usize = flag(args, "--top")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(5);
+    let threads: Option<usize> = match typed_flag(args, "--threads", NON_NEGATIVE, any) {
+        Ok(t) => t,
+        Err(c) => return c,
+    };
+    let top: usize = match typed_flag(args, "--top", NON_NEGATIVE, any) {
+        Ok(t) => t.unwrap_or(5),
+        Err(c) => return c,
+    };
     let out = flag(args, "--out").unwrap_or_else(|| "out/sweep".into());
     let dir = std::path::Path::new(&out);
     let catalog = match catalog_flag(args) {
@@ -1058,15 +1071,18 @@ fn cmd_trace(args: &[String]) -> i32 {
 }
 
 fn cmd_schedule(args: &[String]) -> i32 {
-    let jobs_n: usize = flag(args, "--jobs")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(300);
-    let seed: u64 = flag(args, "--seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(7);
-    let slack: u32 = flag(args, "--slack")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(24);
+    let jobs_n: usize = match typed_flag(args, "--jobs", NON_NEGATIVE, any) {
+        Ok(n) => n.unwrap_or(300),
+        Err(c) => return c,
+    };
+    let seed: u64 = match typed_flag(args, "--seed", NON_NEGATIVE, any) {
+        Ok(s) => s.unwrap_or(7),
+        Err(c) => return c,
+    };
+    let slack: u32 = match typed_flag(args, "--slack", NON_NEGATIVE, any) {
+        Ok(s) => s.unwrap_or(24),
+        Err(c) => return c,
+    };
     let source = if args.iter().any(|a| a == "--synthetic") {
         TraceSource::Synthetic
     } else {
