@@ -18,13 +18,22 @@
 //!
 //! Over-supply hours curtail wind/solar (keeping must-run), like real
 //! system operators do.
+//!
+//! [`RegionSim`] is the one hourly loop; [`simulate_year`] and
+//! [`annual_fuel_shares`] both consume it. Terms are evaluated at the
+//! cadence they vary on: calendar and seasonal-phase terms once per local
+//! day (`DayTerms`), diurnal demand and the wind night boost once per sim
+//! (`HourTable`), and only the OU draws, solar elevation and dispatch
+//! every hour. Every product keeps the association of the per-hour
+//! formula, so the output bits are those of evaluating everything hourly
+//! (pinned by `tests/sim_golden.rs`).
 
 use crate::fuel::{Fuel, GenerationMix};
 use crate::regions::{OperatorId, RegionParams};
 use crate::trace::IntensityTrace;
 use hpcarbon_sim::process::OrnsteinUhlenbeck;
 use hpcarbon_sim::rng::SimRng;
-use hpcarbon_timeseries::datetime::HourStamp;
+use hpcarbon_timeseries::datetime::{days_in_year, hours_in_year, CivilDate, HourStamp};
 use hpcarbon_timeseries::series::HourlySeries;
 
 /// Normalized diurnal demand deviation by local hour: overnight trough,
@@ -34,84 +43,113 @@ const DIURNAL_SHAPE: [f64; 24] = [
     0.70, 0.70, 0.75, 0.90, 1.00, 1.00, 0.80, 0.50, 0.00, -0.50,
 ];
 
-/// Deterministic per-hour inputs derived from the calendar.
-struct HourContext {
-    /// Local hour of day.
-    local_hour: usize,
-    /// Local day of year (1-based).
-    doy: f64,
-    /// Days in the local year.
-    days_in_year: f64,
-    /// True on Saturday/Sunday (local).
-    weekend: bool,
+/// Per-hour-of-day factors: identical for every day, so each sim
+/// evaluates them once.
+struct HourTable {
+    /// Demand multiplier `1 + diurnal_amp * DIURNAL_SHAPE[h]`.
+    diurnal: [f64; 24],
+    /// Wind night boost, peaking around 02:00 local and dipping around
+    /// 14:00.
+    night: [f64; 24],
 }
 
-impl HourContext {
-    fn at(params: &RegionParams, utc: HourStamp) -> HourContext {
-        let local = params.tz.from_utc(utc);
-        HourContext {
-            local_hour: local.hour() as usize,
-            doy: f64::from(local.date().day_of_year()),
-            days_in_year: f64::from(hpcarbon_timeseries::datetime::days_in_year(
-                local.date().year(),
-            )),
-            weekend: local.date().weekday().is_weekend(),
+impl HourTable {
+    fn new(params: &RegionParams) -> HourTable {
+        HourTable {
+            diurnal: DIURNAL_SHAPE.map(|shape| 1.0 + params.diurnal_amp * shape),
+            night: std::array::from_fn(|h| {
+                1.0 + params.wind_night_boost
+                    * (std::f64::consts::TAU * (h as f64 - 2.0) / 24.0).cos()
+            }),
         }
     }
+}
 
-    /// Phase aligned so that 1.0 = mid-summer (Jun 21-ish), -1.0 = mid-winter.
-    fn summer_phase(&self) -> f64 {
-        (std::f64::consts::TAU * (self.doy - 172.0) / self.days_in_year).cos()
+/// Per-local-day inputs: the calendar and every term derived from the
+/// seasonal phase, evaluated once per day rather than once per hour.
+struct DayTerms {
+    /// Demand multiplier from the seasonal swing.
+    seasonal: f64,
+    /// Demand multiplier on weekends; 1.0 on weekdays.
+    weekend: f64,
+    /// Wind capacity factor before the night boost:
+    /// `wind_cf_mean * (1 - wind_winter_boost * summer_phase)`.
+    wind_base: f64,
+    /// Day length in hours, and the local sunrise and sunset hours.
+    daylen: f64,
+    rise: f64,
+    set: f64,
+    /// Seasonal irradiance: stronger sun in summer even at equal day
+    /// length.
+    irradiance: f64,
+}
+
+impl DayTerms {
+    /// The terms for local day `day` (days since 1970-01-01 in the
+    /// region's time zone).
+    fn new(params: &RegionParams, day: i64) -> DayTerms {
+        let date = CivilDate::from_days_since_epoch(day);
+        let doy = f64::from(date.day_of_year());
+        let days_in_year = f64::from(days_in_year(date.year()));
+        // Phase aligned so that 1.0 = mid-summer (Jun 21-ish), -1.0 =
+        // mid-winter.
+        let summer_phase = (std::f64::consts::TAU * (doy - 172.0) / days_in_year).cos();
+        let phase = if params.summer_peaking {
+            summer_phase
+        } else {
+            -summer_phase
+        };
+        let winter = 1.0 - params.wind_winter_boost * summer_phase;
+        let daylen = 12.0 + params.daylen_amp * summer_phase;
+        DayTerms {
+            seasonal: 1.0 + params.seasonal_amp * phase,
+            weekend: if date.weekday().is_weekend() {
+                params.weekend_factor
+            } else {
+                1.0
+            },
+            wind_base: params.wind_cf_mean * winter,
+            daylen,
+            rise: 12.0 - daylen / 2.0,
+            set: 12.0 + daylen / 2.0,
+            irradiance: 0.75 + 0.25 * summer_phase,
+        }
     }
 }
 
 /// Demand in units of average demand.
-fn demand(params: &RegionParams, ctx: &HourContext, noise: f64) -> f64 {
-    let diurnal = 1.0 + params.diurnal_amp * DIURNAL_SHAPE[ctx.local_hour];
-    let phase = if params.summer_peaking {
-        ctx.summer_phase()
-    } else {
-        -ctx.summer_phase()
-    };
-    let seasonal = 1.0 + params.seasonal_amp * phase;
-    let weekend = if ctx.weekend {
-        params.weekend_factor
-    } else {
-        1.0
-    };
-    (diurnal * seasonal * weekend * (1.0 + noise)).max(0.05)
+fn demand(day: &DayTerms, diurnal: f64, noise: f64) -> f64 {
+    // Left-associated as ((diurnal·seasonal)·weekend)·(1+noise); grouping
+    // the per-day factors first would change the output bits.
+    (diurnal * day.seasonal * day.weekend * (1.0 + noise)).max(0.05)
 }
 
 /// Wind generation (units of average demand).
-fn wind_generation(params: &RegionParams, ctx: &HourContext, cf_dev: f64) -> f64 {
+fn wind_generation(params: &RegionParams, day: &DayTerms, night: f64, cf_dev: f64) -> f64 {
     if params.wind_cap <= 0.0 {
         return 0.0;
     }
-    let winter = 1.0 - params.wind_winter_boost * ctx.summer_phase();
-    // Night boost peaks around 02:00 local, dips around 14:00.
-    let night = 1.0
-        + params.wind_night_boost
-            * (std::f64::consts::TAU * (ctx.local_hour as f64 - 2.0) / 24.0).cos();
-    let cf = (params.wind_cf_mean * winter * night + cf_dev).clamp(0.02, 0.95);
+    // (wind_cf_mean·winter)·night, the per-hour formula's association.
+    let cf = (day.wind_base * night + cf_dev).clamp(0.02, 0.95);
     params.wind_cap * cf
 }
 
 /// Solar generation (units of average demand).
-fn solar_generation(params: &RegionParams, ctx: &HourContext, cloud_dev: f64) -> f64 {
+fn solar_generation(
+    params: &RegionParams,
+    day: &DayTerms,
+    local_hour: usize,
+    cloud_dev: f64,
+) -> f64 {
     if params.solar_cap <= 0.0 {
         return 0.0;
     }
-    let daylen = 12.0 + params.daylen_amp * ctx.summer_phase();
-    let rise = 12.0 - daylen / 2.0;
-    let set = 12.0 + daylen / 2.0;
-    let h = ctx.local_hour as f64 + 0.5; // mid-hour sun position
-    if h <= rise || h >= set {
+    let h = local_hour as f64 + 0.5; // mid-hour sun position
+    if h <= day.rise || h >= day.set {
         return 0.0;
     }
-    let elevation = (std::f64::consts::PI * (h - rise) / daylen).sin();
-    // Seasonal irradiance: stronger sun in summer even at equal day length.
-    let irradiance = 0.75 + 0.25 * ctx.summer_phase();
-    let clear_sky = elevation.powf(1.2) * irradiance;
+    let elevation = (std::f64::consts::PI * (h - day.rise) / day.daylen).sin();
+    let clear_sky = elevation.powf(1.2) * day.irradiance;
     let cloud = (1.0 - (params.cloud_mean + cloud_dev)).clamp(0.10, 1.0);
     params.solar_cap * clear_sky * cloud
 }
@@ -160,11 +198,26 @@ fn dispatch(
     mix
 }
 
-/// A stateful per-region simulator: a deterministic stream of hourly
-/// generation mixes. [`simulate_year`] and [`annual_fuel_shares`] are both
-/// thin loops over [`RegionSim::step`].
+/// A stateful per-region simulator: an iterator over one civil year's
+/// hourly generation mixes, in UTC hour order. Deterministic in
+/// `(operator, year, seed)`. [`simulate_year`] and [`annual_fuel_shares`]
+/// both consume it.
+///
+/// Each call to `next` steps all four OU streams (demand, wind, cloud,
+/// outage) exactly once, in that order, whether or not the hour uses the
+/// value; the calendar advances by local-hour arithmetic and the
+/// per-day terms are rebuilt only when the local day changes.
 pub struct RegionSim {
     params: RegionParams,
+    hours: HourTable,
+    /// Hours since the epoch, in the region's local time, of the next
+    /// hour to simulate.
+    local_hour: i64,
+    /// Hours of the year not yet simulated.
+    remaining: u32,
+    /// The local day (days since the epoch) that `day` describes.
+    day_index: i64,
+    day: DayTerms,
     demand_rng: SimRng,
     wind_rng: SimRng,
     cloud_rng: SimRng,
@@ -176,8 +229,9 @@ pub struct RegionSim {
 }
 
 impl RegionSim {
-    /// Creates the simulator. Deterministic in `(operator, seed)`.
-    pub fn new(operator: OperatorId, seed: u64) -> RegionSim {
+    /// Creates the simulator for `year`. Deterministic in
+    /// `(operator, year, seed)`.
+    pub fn new(operator: OperatorId, year: i32, seed: u64) -> RegionSim {
         let params = operator.params();
         let root = SimRng::seed_from(seed).substream(operator.info().short);
         let mut demand_rng = root.substream("demand");
@@ -214,7 +268,16 @@ impl RegionSim {
         wind_ou.reset_stationary(&mut wind_rng);
         cloud_ou.reset_stationary(&mut cloud_rng);
         outage_ou.reset_stationary(&mut outage_rng);
+
+        let local_hour = HourStamp::from_hour_of_year(year, 0).hours_since_epoch()
+            + i64::from(params.tz.offset_hours());
+        let day_index = local_hour.div_euclid(24);
         RegionSim {
+            hours: HourTable::new(&params),
+            local_hour,
+            remaining: hours_in_year(year),
+            day_index,
+            day: DayTerms::new(&params, day_index),
             params,
             demand_rng,
             wind_rng,
@@ -231,31 +294,58 @@ impl RegionSim {
     pub fn params(&self) -> &RegionParams {
         &self.params
     }
+}
+
+impl Iterator for RegionSim {
+    type Item = GenerationMix;
 
     /// Advances one hour and returns the dispatched generation mix.
-    pub fn step(&mut self, stamp: HourStamp) -> GenerationMix {
-        let ctx = HourContext::at(&self.params, stamp);
+    fn next(&mut self) -> Option<GenerationMix> {
+        self.remaining = self.remaining.checked_sub(1)?;
+        let day_index = self.local_hour.div_euclid(24);
+        if day_index != self.day_index {
+            self.day_index = day_index;
+            self.day = DayTerms::new(&self.params, day_index);
+        }
+        let h = self.local_hour.rem_euclid(24) as usize;
+        self.local_hour += 1;
+
         let d = demand(
-            &self.params,
-            &ctx,
+            &self.day,
+            self.hours.diurnal[h],
             self.demand_ou.step(&mut self.demand_rng),
         );
-        let w = wind_generation(&self.params, &ctx, self.wind_ou.step(&mut self.wind_rng));
-        let s = solar_generation(&self.params, &ctx, self.cloud_ou.step(&mut self.cloud_rng));
+        let w = wind_generation(
+            &self.params,
+            &self.day,
+            self.hours.night[h],
+            self.wind_ou.step(&mut self.wind_rng),
+        );
+        let s = solar_generation(
+            &self.params,
+            &self.day,
+            h,
+            self.cloud_ou.step(&mut self.cloud_rng),
+        );
         let avail = (1.0 + self.outage_ou.step(&mut self.outage_rng)).clamp(0.75, 1.0);
-        dispatch(&self.params, d, w, s, avail)
+        Some(dispatch(&self.params, d, w, s, avail))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.remaining as usize;
+        (n, Some(n))
     }
 }
 
 /// Simulates one region for one civil year, returning the hourly intensity
 /// trace. Deterministic in `(operator, year, seed)`.
 pub fn simulate_year(operator: OperatorId, year: i32, seed: u64) -> IntensityTrace {
-    let mut sim = RegionSim::new(operator, seed);
+    let sim = RegionSim::new(operator, year, seed);
     let import_intensity = sim.params().import_intensity;
-    let series = HourlySeries::from_fn(year, |stamp| {
-        sim.step(stamp).intensity(import_intensity).as_g_per_kwh()
-    });
-    IntensityTrace::new(operator, series)
+    let values = sim
+        .map(|mix| mix.intensity(import_intensity).as_g_per_kwh())
+        .collect();
+    IntensityTrace::new(operator, HourlySeries::new(year, values))
 }
 
 /// Simulates all seven Table 3 regions in parallel (one worker per region,
@@ -270,10 +360,8 @@ pub fn simulate_all_regions(year: i32, seed: u64) -> Vec<IntensityTrace> {
 /// physical story its parameters intend (ESO wind-heavy, MISO coal-heavy,
 /// CISO solar-rich, …).
 pub fn annual_fuel_shares(operator: OperatorId, year: i32, seed: u64) -> Vec<(Fuel, f64)> {
-    let mut sim = RegionSim::new(operator, seed);
     let mut totals = GenerationMix::new();
-    for idx in 0..hpcarbon_timeseries::datetime::hours_in_year(year) {
-        let mix = sim.step(HourStamp::from_hour_of_year(year, idx));
+    for mix in RegionSim::new(operator, year, seed) {
         for fuel in Fuel::ALL {
             totals.add(fuel, mix.get(fuel));
         }
@@ -284,7 +372,6 @@ pub fn annual_fuel_shares(operator: OperatorId, year: i32, seed: u64) -> Vec<(Fu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpcarbon_timeseries::datetime::CivilDate;
 
     #[test]
     fn deterministic_given_seed() {
@@ -327,19 +414,36 @@ mod tests {
         }
     }
 
+    /// The day terms and local hour of day the simulator uses at `utc`.
+    fn at(params: &RegionParams, utc: HourStamp) -> (DayTerms, usize) {
+        let local = utc.hours_since_epoch() + i64::from(params.tz.offset_hours());
+        (
+            DayTerms::new(params, local.div_euclid(24)),
+            local.rem_euclid(24) as usize,
+        )
+    }
+
+    fn solar_at(params: &RegionParams, utc: HourStamp) -> f64 {
+        let (day, hour) = at(params, utc);
+        solar_generation(params, &day, hour, 0.0)
+    }
+
+    fn demand_at(params: &RegionParams, utc: HourStamp) -> f64 {
+        let (day, hour) = at(params, utc);
+        demand(&day, HourTable::new(params).diurnal[hour], 0.0)
+    }
+
     #[test]
     fn solar_is_zero_at_night() {
         let params = OperatorId::Ciso.params();
         let midnight_utc = HourStamp::new(CivilDate::new(2021, 6, 15).unwrap(), 8).unwrap();
         // UTC 08:00 = midnight PST.
-        let ctx = HourContext::at(&params, midnight_utc);
-        assert_eq!(ctx.local_hour, 0);
-        assert_eq!(solar_generation(&params, &ctx, 0.0), 0.0);
+        assert_eq!(at(&params, midnight_utc).1, 0);
+        assert_eq!(solar_at(&params, midnight_utc), 0.0);
         // Local noon (UTC 20:00) in June: strong solar.
         let noon_utc = HourStamp::new(CivilDate::new(2021, 6, 15).unwrap(), 20).unwrap();
-        let ctx = HourContext::at(&params, noon_utc);
-        assert_eq!(ctx.local_hour, 12);
-        assert!(solar_generation(&params, &ctx, 0.0) > 0.4);
+        assert_eq!(at(&params, noon_utc).1, 12);
+        assert!(solar_at(&params, noon_utc) > 0.4);
     }
 
     #[test]
@@ -347,8 +451,8 @@ mod tests {
         let params = OperatorId::Ciso.params();
         let summer = HourStamp::new(CivilDate::new(2021, 6, 21).unwrap(), 20).unwrap();
         let winter = HourStamp::new(CivilDate::new(2021, 12, 21).unwrap(), 20).unwrap();
-        let s = solar_generation(&params, &HourContext::at(&params, summer), 0.0);
-        let w = solar_generation(&params, &HourContext::at(&params, winter), 0.0);
+        let s = solar_at(&params, summer);
+        let w = solar_at(&params, winter);
         assert!(s > w, "summer {s} vs winter {w}");
     }
 
@@ -356,10 +460,7 @@ mod tests {
     fn demand_peaks_in_the_evening() {
         let params = OperatorId::Ercot.params();
         let day = CivilDate::new(2021, 7, 14).unwrap(); // a Wednesday
-        let at = |utc_hour: u8| {
-            let ctx = HourContext::at(&params, HourStamp::new(day, utc_hour).unwrap());
-            demand(&params, &ctx, 0.0)
-        };
+        let at = |utc_hour: u8| demand_at(&params, HourStamp::new(day, utc_hour).unwrap());
         // CST: local 18:00 = UTC 0:00 next day; use UTC hours mapping to
         // local 3 AM (UTC 9) vs local 18:00 (UTC 0 of the same civil UTC day
         // maps to local 18:00 of the prior day — simpler: compare two UTC
@@ -374,16 +475,8 @@ mod tests {
         let params = OperatorId::Eso.params();
         let saturday = CivilDate::new(2021, 7, 17).unwrap();
         let wednesday = CivilDate::new(2021, 7, 14).unwrap();
-        let d_sat = demand(
-            &params,
-            &HourContext::at(&params, HourStamp::new(saturday, 12).unwrap()),
-            0.0,
-        );
-        let d_wed = demand(
-            &params,
-            &HourContext::at(&params, HourStamp::new(wednesday, 12).unwrap()),
-            0.0,
-        );
+        let d_sat = demand_at(&params, HourStamp::new(saturday, 12).unwrap());
+        let d_wed = demand_at(&params, HourStamp::new(wednesday, 12).unwrap());
         assert!(d_sat < d_wed);
     }
 
@@ -489,24 +582,20 @@ mod mix_tests {
 
     #[test]
     fn region_sim_matches_simulate_year() {
-        // The refactored RegionSim drives simulate_year: stepping it
-        // manually reproduces the trace exactly.
+        // RegionSim drives simulate_year: its n-th mix reproduces the
+        // trace's n-th hour exactly, and it yields one mix per hour.
         let trace = simulate_year(OperatorId::Ercot, 2021, 3);
-        let mut sim = RegionSim::new(OperatorId::Ercot, 3);
-        let import = sim.params().import_intensity;
-        for idx in [0u32, 1, 100, 5000] {
-            // Re-create a fresh sim each time and fast-forward, because
-            // the stream is stateful.
-            let mut s2 = RegionSim::new(OperatorId::Ercot, 3);
-            let mut value = 0.0;
-            for k in 0..=idx {
-                value = s2
-                    .step(HourStamp::from_hour_of_year(2021, k))
-                    .intensity(import)
-                    .as_g_per_kwh();
-            }
+        let import = OperatorId::Ercot.params().import_intensity;
+        assert_eq!(RegionSim::new(OperatorId::Ercot, 2021, 3).count(), 8760);
+        for idx in [0u32, 1, 100, 5000, 8759] {
+            let mix = RegionSim::new(OperatorId::Ercot, 2021, 3)
+                .nth(idx as usize)
+                .expect("hour within the year");
+            let value = mix.intensity(import).as_g_per_kwh();
             assert_eq!(value, trace.series().at(idx), "hour {idx}");
         }
-        let _ = &mut sim;
+        assert!(RegionSim::new(OperatorId::Ercot, 2021, 3)
+            .nth(8760)
+            .is_none());
     }
 }

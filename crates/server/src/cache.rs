@@ -6,7 +6,8 @@
 //! shards never contend. Within a shard, recency is an intrusive doubly
 //! linked list threaded through a slab of entries (`prev`/`next` are slab
 //! indices, not pointers — no `unsafe`), and a `HashMap` maps keys to
-//! slab slots:
+//! slab slots. Each key is stored once, as an `Arc<str>` shared by the map
+//! entry and its slot; lookups take a plain `&str`:
 //!
 //! - `get` promotes the entry to the front and clones the value out;
 //! - `insert` evicts the back entry once the shard is full;
@@ -19,7 +20,7 @@
 //! the clone a refcount bump.
 
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Number of independent shards (a power of two; the key hash picks one).
 pub const SHARDS: usize = 8;
@@ -39,14 +40,16 @@ fn fnv1a(key: &str) -> u64 {
 }
 
 struct Slot<V> {
-    key: String,
+    /// The same allocation as this slot's key in `Shard::map`, so eviction
+    /// can find the map entry without a second copy of the key.
+    key: Arc<str>,
     value: V,
     prev: usize,
     next: usize,
 }
 
 struct Shard<V> {
-    map: HashMap<String, usize>,
+    map: HashMap<Arc<str>, usize>,
     slots: Vec<Slot<V>>,
     free: Vec<usize>,
     head: usize,
@@ -99,7 +102,7 @@ impl<V: Clone> Shard<V> {
         if self.capacity == 0 {
             return;
         }
-        if let Some(&i) = self.map.get(&key) {
+        if let Some(&i) = self.map.get(key.as_str()) {
             self.slots[i].value = value;
             self.unlink(i);
             self.push_front(i);
@@ -108,11 +111,12 @@ impl<V: Clone> Shard<V> {
         if self.map.len() == self.capacity {
             let lru = self.tail;
             self.unlink(lru);
-            self.map.remove(&self.slots[lru].key);
+            self.map.remove(&*self.slots[lru].key);
             self.free.push(lru);
         }
+        let key: Arc<str> = Arc::from(key);
         let slot = Slot {
-            key: key.clone(),
+            key: Arc::clone(&key),
             value,
             prev: NIL,
             next: NIL,
@@ -268,6 +272,23 @@ mod tests {
     }
 
     #[test]
+    fn each_key_is_stored_once() {
+        let mut s = shard(2);
+        s.insert("a".into(), 1);
+        s.insert("b".into(), 2);
+        // A refresh keeps the original allocation; an eviction frees the
+        // evicted key's and recycles its slot for the new one.
+        s.insert("a".into(), 3);
+        s.insert("c".into(), 4);
+        assert_eq!(s.map.len(), 2);
+        for key in ["a", "c"] {
+            let (map_key, &i) = s.map.get_key_value(key).expect("cached");
+            assert!(Arc::ptr_eq(map_key, &s.slots[i].key), "{key}: two copies");
+            assert_eq!(Arc::strong_count(map_key), 2, "{key}: stray reference");
+        }
+    }
+
+    #[test]
     fn sharding_is_stable_and_spread() {
         // FNV-1a is fixed, so the same key always lands in the same
         // shard; distinct keys spread across more than one shard.
@@ -328,7 +349,7 @@ mod tests {
         let mut out = Vec::new();
         let mut i = s.head;
         while i != NIL {
-            out.push((s.slots[i].key.clone(), s.slots[i].value));
+            out.push((s.slots[i].key.to_string(), s.slots[i].value));
             i = s.slots[i].next;
         }
         out
