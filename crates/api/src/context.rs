@@ -89,9 +89,7 @@ pub struct RequestKeys {
 impl RequestKeys {
     /// Derives the keys `req`'s evaluation will look up.
     pub fn of(req: &EstimateRequest) -> RequestKeys {
-        let rng = SimRng::seed_from(req.seed);
-        let trace_seed = rng.substream("trace").seed();
-        let jobs_seed = rng.substream("jobs").seed();
+        let (trace_seed, jobs_seed) = seed_substreams(req.seed);
         let partner_trace = req
             .partner
             .unwrap_or_else(|| req.policy.is_multi_region())
@@ -103,6 +101,14 @@ impl RequestKeys {
             system: req.system,
         }
     }
+}
+
+/// The seed substreams a request seed forks: `(trace, jobs)`. The one
+/// derivation of both, so a key built from a bare seed (a sweep grid's
+/// seed dimension) matches the key [`RequestKeys::of`] derives.
+pub fn seed_substreams(seed: u64) -> (u64, u64) {
+    let rng = SimRng::seed_from(seed);
+    (rng.substream("trace").seed(), rng.substream("jobs").seed())
 }
 
 /// The partner site a multi-region evaluation pairs with `region`: the
@@ -282,6 +288,9 @@ mod tests {
             RequestKeys::of(&req(7)).trace,
             RequestKeys::of(&req(8)).trace
         );
+        let k = RequestKeys::of(&req(7));
+        assert_eq!(seed_substreams(7), (k.trace.3, k.jobs.1));
+        assert_ne!(k.trace.3, k.jobs.1, "distinct substreams");
     }
 
     #[test]

@@ -83,5 +83,5 @@ pub use report::{
     batch_from_json, batch_to_json, EmbodiedSection, FootprintReport, GridSection,
     OperationalSection, ShiftSection, UpgradeSection, Verdict,
 };
-pub use request::{EstimateRequest, ValidRequest, POLICY_VALUES, SCHEMA_VERSION};
+pub use request::{EstimateRequest, ValidRequest, MAX_JOBS, POLICY_VALUES, SCHEMA_VERSION};
 pub use types::{ForecastModel, PueSpec, StorageVariant, SystemId, TraceSource, UpgradePath};

@@ -16,8 +16,8 @@
 //!   optional and defaults to the paper baseline.
 //!
 //! [`EstimateRequest::validate`] performs the semantic checks (physical
-//! PUE, non-empty workload) and yields a [`ValidRequest`], the only type
-//! the estimator evaluates.
+//! PUE, a non-empty workload of at most [`MAX_JOBS`] jobs) and yields a
+//! [`ValidRequest`], the only type the estimator evaluates.
 
 use crate::error::{ApiError, ParseError};
 use crate::json::{
@@ -35,6 +35,14 @@ use hpcarbon_workloads::nodes::NodeGen;
 
 /// The request/report schema version this build speaks.
 pub const SCHEMA_VERSION: u32 = 1;
+
+/// The most jobs one request may simulate. The first-fit scheduling sim
+/// grows faster than linearly in the job count (one estimate on an
+/// 8-GPU cluster, 2-vCPU Xeon host: 10k jobs ~0.07 s, 30k ~0.6 s, 100k
+/// ~16 s), and the job trace is allocated up front, so an unbounded
+/// count lets one request hold a worker for minutes or abort the
+/// process on allocation.
+pub const MAX_JOBS: usize = 10_000;
 
 /// Accepted `policy.name` values.
 pub const POLICY_VALUES: [&str; 7] = [
@@ -119,9 +127,9 @@ impl EstimateRequest {
         }
     }
 
-    /// Semantic validation: schema version, physical PUE, non-empty
-    /// workload, plausible year. The returned [`ValidRequest`] is the
-    /// only input [`crate::Estimator::estimate`] evaluates.
+    /// Semantic validation: schema version, physical PUE, a workload of 1
+    /// to [`MAX_JOBS`] jobs, plausible year. The returned [`ValidRequest`]
+    /// is the only input [`crate::Estimator::estimate`] evaluates.
     pub fn validate(&self) -> Result<ValidRequest, ApiError> {
         if self.schema_version != SCHEMA_VERSION {
             return Err(ApiError::Schema {
@@ -134,6 +142,12 @@ impl EstimateRequest {
             return Err(ApiError::InvalidRequest {
                 field: "jobs",
                 reason: "must be at least 1",
+            });
+        }
+        if self.jobs > MAX_JOBS {
+            return Err(ApiError::InvalidRequest {
+                field: "jobs",
+                reason: "must be at most 10000",
             });
         }
         if self.cluster_gpus == 0 {
@@ -617,6 +631,22 @@ mod tests {
         .unwrap();
         assert_eq!(two.len(), 2);
         assert!(EstimateRequest::batch_from_json("42").is_err());
+    }
+
+    #[test]
+    fn validation_caps_jobs_at_max_jobs() {
+        let mut r = EstimateRequest::paper_baseline(SystemId::Frontier, OperatorId::Eso);
+        r.jobs = MAX_JOBS;
+        assert!(r.validate().is_ok());
+        r.jobs = MAX_JOBS + 1;
+        let err = r.validate().unwrap_err();
+        assert_eq!(
+            err,
+            ApiError::InvalidRequest {
+                field: "jobs",
+                reason: "must be at most 10000",
+            }
+        );
     }
 
     #[test]

@@ -159,7 +159,7 @@ mod tests {
         let server = FileClass::classify("crates/server/src/event_loop.rs");
         assert!(!server.deterministic());
         assert_eq!(server.kind, FileKind::Library);
-        let core = FileClass::classify("crates/core/src/rfp.rs");
+        let core = FileClass::classify("crates/core/src/whatif.rs");
         assert!(core.deterministic());
     }
 

@@ -147,14 +147,14 @@ mod tests {
     #[test]
     fn display_contract_is_line_anchored() {
         let d = Diagnostic::new(
-            "crates/core/src/rfp.rs",
+            "crates/core/src/whatif.rs",
             42,
             RuleId::PanicInLibrary,
             "`.unwrap()` on a library path".to_string(),
         );
         assert_eq!(
             d.to_string(),
-            "crates/core/src/rfp.rs:42: panic-in-library: `.unwrap()` on a library path"
+            "crates/core/src/whatif.rs:42: panic-in-library: `.unwrap()` on a library path"
         );
     }
 

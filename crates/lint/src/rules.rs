@@ -441,7 +441,7 @@ mod tests {
     #[test]
     fn wall_clock_fires_in_deterministic_crates_only() {
         let src = "fn f() { let t = Instant::now(); }";
-        let det = check("crates/core/src/rfp.rs", src);
+        let det = check("crates/core/src/whatif.rs", src);
         assert_eq!(det.len(), 1);
         assert_eq!(det[0].rule, RuleId::WallClockInDeterministicCrate);
         assert_eq!(det[0].line, 1);
@@ -481,7 +481,7 @@ mod tests {
     #[test]
     fn panic_rule_catches_all_five_forms() {
         let src = "fn f(x: Option<u32>) -> u32 {\n    let a = x.unwrap();\n    let b = x.expect(\"msg\");\n    if a > b { panic!(\"no\") }\n    todo!()\n}\nfn g() { unimplemented!() }\n";
-        let d = check("crates/core/src/rfp.rs", src);
+        let d = check("crates/core/src/whatif.rs", src);
         assert_eq!(d.len(), 5, "{d:?}");
         assert!(d.iter().all(|x| x.rule == RuleId::PanicInLibrary));
         assert_eq!(
@@ -493,7 +493,7 @@ mod tests {
     #[test]
     fn panic_rule_skips_cfg_test_and_binaries() {
         let src = "fn lib() {}\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { None::<u32>.unwrap(); }\n}\n";
-        assert!(check("crates/core/src/rfp.rs", src).is_empty());
+        assert!(check("crates/core/src/whatif.rs", src).is_empty());
         let bin = "fn main() { std::fs::read(\"x\").unwrap(); }";
         assert!(check("src/bin/hpcarbon.rs", bin).is_empty());
     }
@@ -513,9 +513,9 @@ mod tests {
     #[test]
     fn suppression_waves_through_with_justification() {
         let src = "fn f(x: Option<u32>) -> u32 {\n    // lint: allow(panic-in-library) -- checked non-empty above\n    x.unwrap()\n}\n";
-        assert!(check("crates/core/src/rfp.rs", src).is_empty());
+        assert!(check("crates/core/src/whatif.rs", src).is_empty());
         let bad = "fn f(x: Option<u32>) -> u32 {\n    // lint: allow(panic-in-library)\n    x.unwrap()\n}\n";
-        let d = check("crates/core/src/rfp.rs", bad);
+        let d = check("crates/core/src/whatif.rs", bad);
         assert_eq!(d.len(), 2); // bad-suppression + the unsuppressed unwrap
         assert_eq!(d[0].rule, RuleId::BadSuppression);
         assert_eq!(d[1].rule, RuleId::PanicInLibrary);

@@ -1,16 +1,12 @@
 //! # hpcarbon-power
 //!
-//! Power telemetry and operational-carbon tracking — the workspace's
+//! Device power models and operational-carbon tracking — the workspace's
 //! stand-in for the measurement stack the paper uses on real nodes
 //! (NVML/RAPL power counters read by the `carbontracker` tool).
 //!
-//! - [`sensor`]: device power models and simulated NVML/RAPL-style sensors
-//!   whose utilization can be driven by a workload simulation;
-//! - [`energy`]: trapezoidal energy integration over sample streams;
-//! - [`sampler`]: a background sampling daemon (spawned thread,
-//!   `parking_lot` + acquire/release atomics) that polls sensors and
-//!   accumulates per-device energy, mirroring how carbontracker samples
-//!   NVML at a fixed cadence;
+//! - [`sensor`]: device power models mapping utilization to draw (the
+//!   role NVML/RAPL readings play on real nodes);
+//! - [`pue_model`]: a seasonal PUE that follows outdoor temperature;
 //! - [`tracker`]: the carbontracker-equivalent: measure the first epochs of
 //!   a training run, extrapolate whole-run energy, and convert to gCO₂
 //!   with a grid-intensity trace and PUE (the paper's Eq. 6 pipeline).
@@ -31,12 +27,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod energy;
 pub mod pue_model;
-pub mod sampler;
 pub mod sensor;
 pub mod tracker;
 
 pub use pue_model::SeasonalPue;
-pub use sensor::{DevicePowerModel, PowerSensor, SimulatedDevice};
+pub use sensor::DevicePowerModel;
 pub use tracker::CarbonTracker;

@@ -1,23 +1,10 @@
-//! Device power models and simulated sensors.
+//! Device power models.
 //!
 //! The paper measures device power with "power measurement tools (e.g.,
-//! NVML, RAPL)". Here the same interface is served by simulated devices:
-//! a power model maps utilization to draw, and a [`SimulatedDevice`] holds
-//! the current utilization (settable by a workload simulation) behind an
-//! atomic so sampler threads can read it without locking.
+//! NVML, RAPL)". Here a power model maps a device's utilization to its
+//! draw instead.
 
 use hpcarbon_units::{Fraction, Power};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-/// Anything that can report an instantaneous power draw (the NVML
-/// `nvmlDeviceGetPowerUsage` / RAPL energy-counter role).
-pub trait PowerSensor: Send + Sync {
-    /// Sensor name (e.g. `"gpu0"`).
-    fn name(&self) -> &str;
-    /// Current power draw.
-    fn read_power(&self) -> Power;
-}
 
 /// Maps utilization to power draw for one device.
 ///
@@ -79,56 +66,6 @@ impl DevicePowerModel {
     }
 }
 
-/// A simulated device: a power model plus the current utilization,
-/// updated by workload code and read by sampler threads.
-///
-/// Utilization is stored as `f64` bits in an `AtomicU64` — single-word
-/// atomic read/write (release/acquire) is all the synchronization a
-/// sensor value needs.
-#[derive(Debug)]
-pub struct SimulatedDevice {
-    name: String,
-    model: DevicePowerModel,
-    util_bits: AtomicU64,
-}
-
-impl SimulatedDevice {
-    /// Creates an idle device.
-    pub fn new(name: impl Into<String>, model: DevicePowerModel) -> Arc<SimulatedDevice> {
-        Arc::new(SimulatedDevice {
-            name: name.into(),
-            model,
-            util_bits: AtomicU64::new(0f64.to_bits()),
-        })
-    }
-
-    /// The device's power model.
-    pub fn model(&self) -> DevicePowerModel {
-        self.model
-    }
-
-    /// Sets utilization (clamped to `[0, 1]`).
-    pub fn set_utilization(&self, u: f64) {
-        self.util_bits
-            .store(u.clamp(0.0, 1.0).to_bits(), Ordering::Release);
-    }
-
-    /// Current utilization.
-    pub fn utilization(&self) -> f64 {
-        f64::from_bits(self.util_bits.load(Ordering::Acquire))
-    }
-}
-
-impl PowerSensor for SimulatedDevice {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn read_power(&self) -> Power {
-        self.model.power_at(self.utilization())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,30 +117,5 @@ mod tests {
     #[should_panic(expected = "idle power cannot exceed TDP")]
     fn rejects_idle_above_tdp() {
         let _ = DevicePowerModel::new(Power::from_w(400.0), Power::from_w(300.0));
-    }
-
-    #[test]
-    fn simulated_device_reflects_utilization() {
-        let dev = SimulatedDevice::new("gpu0", v100_model());
-        assert_eq!(dev.read_power().as_w(), 40.0);
-        dev.set_utilization(1.0);
-        assert_eq!(dev.read_power().as_w(), 300.0);
-        assert_eq!(dev.utilization(), 1.0);
-        dev.set_utilization(7.0); // clamped
-        assert_eq!(dev.utilization(), 1.0);
-        assert_eq!(dev.name(), "gpu0");
-    }
-
-    #[test]
-    fn device_is_shareable_across_threads() {
-        let dev = SimulatedDevice::new("gpu0", v100_model());
-        let d2 = Arc::clone(&dev);
-        let handle = std::thread::spawn(move || {
-            d2.set_utilization(0.5);
-            d2.read_power().as_w()
-        });
-        let from_thread = handle.join().unwrap();
-        assert!(from_thread > 40.0);
-        assert_eq!(dev.utilization(), 0.5);
     }
 }

@@ -5,7 +5,7 @@
 //! carbontracker's core trick: measure the energy of the first training
 //! epoch(s), extrapolate to the full run, and convert energy to carbon
 //! with the local grid intensity. This module reproduces that pipeline on
-//! top of [`crate::sampler`] and `hpcarbon-grid` traces.
+//! top of `hpcarbon-grid` traces.
 
 use hpcarbon_core::operational::Pue;
 use hpcarbon_grid::trace::IntensityTrace;

@@ -7,11 +7,6 @@
 //! > carbon-intensity-aware job schedulers to exploit these opportunities
 //! > across geographically distributed HPC centers." (§4, Implication)
 //!
-//! > "Similar to core-hour accounting and budgeting, HPC users should also
-//! > be provided a carbon budget as a part of their allocation, and they
-//! > could be prioritized to reduce their queue wait time if the carbon
-//! > footprint of their jobs have been economical." (§4, Implication)
-//!
 //! Components:
 //!
 //! - [`job`]: jobs and a seeded trace generator (Poisson arrivals,
@@ -23,14 +18,11 @@
 //!   the indexed shifting pair [`Policy::TemporalShift`] /
 //!   [`Policy::SpatioTemporal`] answering "greenest start within slack"
 //!   from the trace's window index instead of rescans;
-//! - [`sim`]: a discrete-event simulation joining the above, accounting
-//!   every job's operational carbon against the hourly trace (Eq. 6 per
-//!   hour);
-//! - [`budget`]: per-user carbon budgets with queue-priority incentives;
-//! - [`metrics`]: wait-time distributions, per-user statistics, Jain
-//!   fairness, and per-job shifted-vs-baseline carbon savings — the
-//!   operator's view of what a policy costs in queue time and buys in
-//!   carbon.
+//! - [`sim`]: a discrete-event simulation joining the above, with a
+//!   first-fit capacity queue per cluster, accounting every job's
+//!   operational carbon against the hourly trace (Eq. 6 per hour);
+//! - [`metrics`]: per-job shifted-vs-baseline carbon savings — what a
+//!   policy buys in carbon against running every job on arrival.
 //!
 //! # Example
 //!
@@ -53,16 +45,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod budget;
 pub mod cluster;
 pub mod job;
 pub mod metrics;
 pub mod policy;
 pub mod sim;
 
-pub use budget::CarbonBudgetLedger;
 pub use cluster::Cluster;
 pub use job::{Job, JobTraceGenerator};
 pub use metrics::{shift_savings, summarize_shift_savings, JobShiftSavings, ShiftSavingsSummary};
 pub use policy::Policy;
-pub use sim::{QueueDiscipline, SimError, SimOutcome, Simulation};
+pub use sim::{SimError, SimOutcome, Simulation};

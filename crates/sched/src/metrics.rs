@@ -1,77 +1,10 @@
-//! Outcome metrics beyond totals: wait-time distribution, per-user
-//! statistics, fairness, and shifted-vs-baseline carbon savings — what an
-//! operator actually reviews when weighing a carbon-aware policy against
-//! its queue-time cost.
+//! Shifted-vs-baseline carbon savings: what a carbon-aware policy buys
+//! each job against running it the moment it arrived.
 
 use crate::cluster::Cluster;
 use crate::job::Job;
 use crate::sim::SimOutcome;
-use hpcarbon_timeseries::stats::quantile;
-use hpcarbon_units::{CarbonMass, TimeSpan};
-
-/// Distribution summary of queue waits for one outcome.
-#[derive(Debug, Clone, Copy)]
-pub struct WaitStats {
-    /// Mean wait, hours.
-    pub mean: f64,
-    /// Median wait.
-    pub median: f64,
-    /// 95th percentile wait — the metric queue SLAs are written against.
-    pub p95: f64,
-    /// Maximum wait.
-    pub max: f64,
-}
-
-/// Computes the wait distribution of an outcome.
-pub fn wait_stats(outcome: &SimOutcome) -> WaitStats {
-    let waits: Vec<f64> = outcome.jobs.iter().map(|j| j.wait_hours).collect();
-    WaitStats {
-        mean: outcome.mean_wait_hours,
-        median: quantile(&waits, 0.5),
-        p95: quantile(&waits, 0.95),
-        max: outcome.max_wait_hours,
-    }
-}
-
-/// Per-user aggregate: jobs run, carbon emitted, mean wait.
-#[derive(Debug, Clone, Copy)]
-pub struct UserStats {
-    /// User index.
-    pub user: usize,
-    /// Jobs completed.
-    pub jobs: usize,
-    /// Carbon attributed.
-    pub carbon: CarbonMass,
-    /// Mean wait, hours.
-    pub mean_wait: f64,
-}
-
-/// Splits an outcome by user. `jobs` must be the job slice the simulation
-/// ran (outcomes are positionally aligned with it).
-pub fn per_user(outcome: &SimOutcome, jobs: &[Job]) -> Vec<UserStats> {
-    assert_eq!(outcome.jobs.len(), jobs.len(), "outcome/job mismatch");
-    let users = jobs.iter().map(|j| j.user).max().map_or(0, |u| u + 1);
-    let mut stats: Vec<UserStats> = (0..users)
-        .map(|user| UserStats {
-            user,
-            jobs: 0,
-            carbon: CarbonMass::ZERO,
-            mean_wait: 0.0,
-        })
-        .collect();
-    for (job, o) in jobs.iter().zip(&outcome.jobs) {
-        let s = &mut stats[job.user];
-        s.jobs += 1;
-        s.carbon += o.carbon;
-        s.mean_wait += o.wait_hours;
-    }
-    for s in &mut stats {
-        if s.jobs > 0 {
-            s.mean_wait /= s.jobs as f64;
-        }
-    }
-    stats
-}
+use hpcarbon_units::TimeSpan;
 
 /// One job's shifted-vs-baseline carbon comparison: what the job emitted
 /// where the policy actually ran it, against what it would have emitted
@@ -151,116 +84,6 @@ pub fn summarize_shift_savings(savings: &[JobShiftSavings]) -> ShiftSavingsSumma
         } else {
             0.0
         },
-    }
-}
-
-/// Jain's fairness index over per-user mean waits (1 = perfectly equal,
-/// 1/n = one user absorbs everything). Users with no jobs are skipped.
-/// Waits of zero across the board count as perfectly fair.
-pub fn wait_fairness(stats: &[UserStats]) -> f64 {
-    let waits: Vec<f64> = stats
-        .iter()
-        .filter(|s| s.jobs > 0)
-        .map(|s| s.mean_wait)
-        .collect();
-    if waits.is_empty() {
-        return 1.0;
-    }
-    let sum: f64 = waits.iter().sum();
-    if sum == 0.0 {
-        return 1.0;
-    }
-    let sum_sq: f64 = waits.iter().map(|w| w * w).sum();
-    (sum * sum) / (waits.len() as f64 * sum_sq)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::cluster::Cluster;
-    use crate::job::JobTraceGenerator;
-    use crate::policy::Policy;
-    use crate::sim::Simulation;
-    use hpcarbon_grid::regions::OperatorId;
-    use hpcarbon_grid::trace::IntensityTrace;
-    use hpcarbon_timeseries::series::HourlySeries;
-
-    fn run(capacity: u32, n: usize) -> (SimOutcome, Vec<Job>) {
-        let jobs = JobTraceGenerator::default_rates().generate(n, 3);
-        let cluster = Cluster::new(
-            "c",
-            IntensityTrace::new(OperatorId::Eso, HourlySeries::constant(2021, 200.0)),
-            capacity,
-        );
-        let out = Simulation::single_region(cluster, Policy::Fifo, &jobs).run();
-        (out, jobs)
-    }
-
-    #[test]
-    fn wait_stats_are_ordered() {
-        let (out, _) = run(8, 200);
-        let w = wait_stats(&out);
-        assert!(w.median <= w.p95 + 1e-9);
-        assert!(w.p95 <= w.max + 1e-9);
-        assert!(w.mean >= 0.0);
-    }
-
-    #[test]
-    fn uncongested_waits_are_zero_and_fair() {
-        let (out, jobs) = run(4096, 100);
-        let w = wait_stats(&out);
-        assert!(w.max < 1e-9);
-        let users = per_user(&out, &jobs);
-        assert!((wait_fairness(&users) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn per_user_conserves_jobs_and_carbon() {
-        let (out, jobs) = run(16, 200);
-        let users = per_user(&out, &jobs);
-        let total_jobs: usize = users.iter().map(|u| u.jobs).sum();
-        assert_eq!(total_jobs, jobs.len());
-        let total_carbon: f64 = users.iter().map(|u| u.carbon.as_g()).sum();
-        assert!((total_carbon - out.total_carbon.as_g()).abs() < 1e-6);
-    }
-
-    #[test]
-    fn fairness_detects_skew() {
-        let skewed = vec![
-            UserStats {
-                user: 0,
-                jobs: 5,
-                carbon: CarbonMass::ZERO,
-                mean_wait: 100.0,
-            },
-            UserStats {
-                user: 1,
-                jobs: 5,
-                carbon: CarbonMass::ZERO,
-                mean_wait: 0.0,
-            },
-        ];
-        let even = vec![
-            UserStats {
-                user: 0,
-                jobs: 5,
-                carbon: CarbonMass::ZERO,
-                mean_wait: 50.0,
-            },
-            UserStats {
-                user: 1,
-                jobs: 5,
-                carbon: CarbonMass::ZERO,
-                mean_wait: 50.0,
-            },
-        ];
-        assert!((wait_fairness(&skewed) - 0.5).abs() < 1e-12);
-        assert!((wait_fairness(&even) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_user_set_is_fair() {
-        assert_eq!(wait_fairness(&[]), 1.0);
     }
 }
 

@@ -1,6 +1,5 @@
 //! The scheduling simulation: discrete events over clusters and a policy.
 
-use crate::budget::CarbonBudgetLedger;
 use crate::cluster::Cluster;
 use crate::job::Job;
 use crate::policy::Policy;
@@ -97,8 +96,6 @@ pub struct SimOutcome {
     pub mean_wait_hours: f64,
     /// Maximum queue wait, hours.
     pub max_wait_hours: f64,
-    /// Per-user carbon ledger (filled when budgets are enabled).
-    pub ledger: Option<CarbonBudgetLedger>,
 }
 
 impl SimOutcome {
@@ -111,30 +108,11 @@ impl SimOutcome {
     }
 }
 
-/// How a region's capacity queue admits jobs when the head does not fit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueueDiscipline {
-    /// Strict FIFO: a blocked head blocks everything behind it. Trivially
-    /// fair, wastes capacity.
-    StrictFifo,
-    /// First-fit: any queued job that fits may start (aggressive backfill;
-    /// can starve wide jobs indefinitely).
-    FirstFit,
-    /// EASY backfill: the head gets a reservation at the earliest time
-    /// enough GPUs free up; later jobs may jump ahead only if they finish
-    /// before that reservation — bounded delay for wide jobs, high
-    /// utilization.
-    EasyBackfill,
-}
-
 struct RegionState {
     free_gpus: u32,
     /// Jobs eligible to run, waiting for capacity (job indices, in
-    /// eligibility order; budget priority reorders at pop time).
+    /// eligibility order).
     queue: Vec<usize>,
-    /// Running jobs as (end_time_hours, gpus, job_index) — the EASY
-    /// reservation calculation walks this sorted by end time.
-    running: Vec<(f64, u32, usize)>,
 }
 
 /// A configured simulation.
@@ -142,8 +120,6 @@ pub struct Simulation<'a> {
     clusters: Vec<Cluster>,
     policy: Policy,
     jobs: &'a [Job],
-    ledger: Option<CarbonBudgetLedger>,
-    discipline: QueueDiscipline,
 }
 
 impl<'a> Simulation<'a> {
@@ -153,8 +129,6 @@ impl<'a> Simulation<'a> {
             clusters: vec![cluster],
             policy,
             jobs,
-            ledger: None,
-            discipline: QueueDiscipline::FirstFit,
         }
     }
 
@@ -166,23 +140,7 @@ impl<'a> Simulation<'a> {
             clusters,
             policy,
             jobs,
-            ledger: None,
-            discipline: QueueDiscipline::FirstFit,
         }
-    }
-
-    /// Enables per-user carbon budgets: users with more remaining budget
-    /// are popped from capacity queues first (the paper's queue-priority
-    /// incentive).
-    pub fn with_budgets(mut self, ledger: CarbonBudgetLedger) -> Simulation<'a> {
-        self.ledger = Some(ledger);
-        self
-    }
-
-    /// Selects the capacity-queue discipline (default: first-fit).
-    pub fn with_discipline(mut self, discipline: QueueDiscipline) -> Simulation<'a> {
-        self.discipline = discipline;
-        self
     }
 
     /// Runs the simulation to completion.
@@ -208,8 +166,6 @@ impl<'a> Simulation<'a> {
             clusters,
             policy,
             jobs,
-            mut ledger,
-            discipline,
         } = self;
         let mut q: EventQueue<Event> = EventQueue::new();
         let mut regions: Vec<RegionState> = clusters
@@ -217,7 +173,6 @@ impl<'a> Simulation<'a> {
             .map(|c| RegionState {
                 free_gpus: c.capacity_gpus,
                 queue: Vec::new(),
-                running: Vec::new(),
             })
             .collect();
         let mut outcomes: Vec<Option<JobOutcome>> = vec![None; jobs.len()];
@@ -272,8 +227,6 @@ impl<'a> Simulation<'a> {
                             &mut regions,
                             jobs,
                             &mut outcomes,
-                            ledger.as_ref(),
-                            discipline,
                             placement.cluster,
                             now,
                         );
@@ -287,26 +240,18 @@ impl<'a> Simulation<'a> {
                         &mut regions,
                         jobs,
                         &mut outcomes,
-                        ledger.as_ref(),
-                        discipline,
                         cluster,
                         now,
                     );
                 }
                 Event::Finish(i, cluster) => {
                     regions[cluster].free_gpus += jobs[i].gpus;
-                    regions[cluster].running.retain(|(_, _, j)| *j != i);
-                    if let (Some(ledger), Some(outcome)) = (ledger.as_mut(), outcomes[i].as_ref()) {
-                        ledger.charge(jobs[i].user, outcome.carbon);
-                    }
                     try_start(
                         &mut q,
                         &clusters,
                         &mut regions,
                         jobs,
                         &mut outcomes,
-                        ledger.as_ref(),
-                        discipline,
                         cluster,
                         now,
                     );
@@ -331,67 +276,31 @@ impl<'a> Simulation<'a> {
             total_energy,
             mean_wait_hours: mean_wait,
             max_wait_hours: max_wait,
-            ledger,
         })
     }
 }
 
-/// Starts as many queued jobs as the discipline and capacity allow on
-/// `cluster`.
-#[allow(clippy::too_many_arguments)]
+/// Starts queued jobs on `cluster` while any fits: first-fit, so the
+/// earliest-eligible job that fits the free GPUs starts, even past a
+/// blocked wider job ahead of it.
 fn try_start(
     q: &mut EventQueue<Event>,
     clusters: &[Cluster],
     regions: &mut [RegionState],
     jobs: &[Job],
     outcomes: &mut [Option<JobOutcome>],
-    ledger: Option<&CarbonBudgetLedger>,
-    discipline: QueueDiscipline,
     cluster: usize,
     now: f64,
 ) {
-    loop {
-        let region = &mut regions[cluster];
-        if region.queue.is_empty() {
-            return;
-        }
-        // Budget priority reorders the whole queue before admission;
-        // otherwise the queue stays in eligibility order.
-        if let Some(ledger) = ledger {
-            region.queue.sort_by(|a, b| {
-                // Remaining fractions are finite by construction, so
-                // `total_cmp` orders them identically without the panic.
-                ledger
-                    .remaining_fraction(jobs[*b].user)
-                    .total_cmp(&ledger.remaining_fraction(jobs[*a].user))
-                    .then(a.cmp(b))
-            });
-        }
-
-        let head = region.queue[0];
-        let pick = if jobs[head].gpus <= region.free_gpus {
-            Some(0)
-        } else {
-            match discipline {
-                QueueDiscipline::StrictFifo => None,
-                QueueDiscipline::FirstFit => (1..region.queue.len())
-                    .find(|qi| jobs[region.queue[*qi]].gpus <= region.free_gpus),
-                QueueDiscipline::EasyBackfill => {
-                    let reservation = easy_reservation(region, &jobs[head], now);
-                    (1..region.queue.len()).find(|qi| {
-                        let j = &jobs[region.queue[*qi]];
-                        j.gpus <= region.free_gpus && now + j.runtime_hours <= reservation + 1e-9
-                    })
-                }
-            }
-        };
-        let Some(pick) = pick else { return };
+    let region = &mut regions[cluster];
+    while let Some(pick) = region
+        .queue
+        .iter()
+        .position(|&j| jobs[j].gpus <= region.free_gpus)
+    {
         let job_idx = region.queue.remove(pick);
         let job = &jobs[job_idx];
         region.free_gpus -= job.gpus;
-        region
-            .running
-            .push((now + job.runtime_hours, job.gpus, job_idx));
         let duration = TimeSpan::from_hours(job.runtime_hours);
         let carbon = clusters[cluster].carbon_for(now, duration, job.power());
         let energy = clusters[cluster].energy_for(duration, job.power());
@@ -405,29 +314,6 @@ fn try_start(
         });
         q.schedule_at(now + job.runtime_hours, Event::Finish(job_idx, cluster));
     }
-}
-
-/// The EASY reservation: the earliest time enough GPUs free up for the
-/// queue head, assuming running jobs finish on schedule.
-fn easy_reservation(region: &RegionState, head: &Job, now: f64) -> f64 {
-    let mut ends: Vec<(f64, u32)> = region
-        .running
-        .iter()
-        .map(|(end, gpus, _)| (*end, *gpus))
-        .collect();
-    // End times are finite sums of finite starts and runtimes, so
-    // `total_cmp` orders them identically without the panic arm.
-    ends.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let mut free = region.free_gpus;
-    for (end, gpus) in ends {
-        free += gpus;
-        if free >= head.gpus {
-            return end.max(now);
-        }
-    }
-    // Unreachable when the guard in run() holds (the head fits the
-    // cluster), but stay safe.
-    f64::INFINITY
 }
 
 #[cfg(test)]
@@ -741,90 +627,23 @@ mod discipline_tests {
         jobs
     }
 
-    fn wide_job_wait(discipline: QueueDiscipline) -> f64 {
-        let jobs = starvation_trace();
-        let wide_id = jobs
-            .iter()
-            .find(|j| j.gpus == 8)
-            .expect("wide job present")
-            .id;
-        let out = Simulation::single_region(cluster(8), Policy::Fifo, &jobs)
-            .with_discipline(discipline)
-            .run();
-        out.jobs[wide_id].wait_hours
-    }
-
     #[test]
     fn first_fit_starves_the_wide_job() {
-        // Narrow jobs keep slipping in front: the wide job waits until the
-        // narrow stream dries up.
-        let ff = wide_job_wait(QueueDiscipline::FirstFit);
-        let easy = wide_job_wait(QueueDiscipline::EasyBackfill);
+        // Narrow jobs keep slipping in front of the blocked wide job: it
+        // starts only once the narrow stream has drained.
+        let jobs = starvation_trace();
+        let out = Simulation::single_region(cluster(8), Policy::Fifo, &jobs).run();
+        let wide = jobs.iter().find(|j| j.gpus == 8).expect("wide job present");
+        let narrow_end = jobs
+            .iter()
+            .filter(|j| j.gpus < 8)
+            .map(|j| out.jobs[j.id].start_hours + j.runtime_hours)
+            .fold(0.0f64, f64::max);
+        let start = out.jobs[wide.id].start_hours;
         assert!(
-            ff > easy + 4.0,
-            "first-fit {ff} should starve vs EASY {easy}"
+            start >= narrow_end,
+            "wide job started at {start}, before the narrow stream ended at {narrow_end}"
         );
-    }
-
-    #[test]
-    fn strict_fifo_bounds_the_wide_job_too() {
-        let fifo = wide_job_wait(QueueDiscipline::StrictFifo);
-        let ff = wide_job_wait(QueueDiscipline::FirstFit);
-        assert!(fifo < ff);
-    }
-
-    #[test]
-    fn all_disciplines_complete_all_jobs_with_equal_energy() {
-        let jobs = crate::job::JobTraceGenerator::default_rates().generate(120, 11);
-        let mut energies = Vec::new();
-        for d in [
-            QueueDiscipline::StrictFifo,
-            QueueDiscipline::FirstFit,
-            QueueDiscipline::EasyBackfill,
-        ] {
-            let out = Simulation::single_region(cluster(16), Policy::Fifo, &jobs)
-                .with_discipline(d)
-                .run();
-            assert_eq!(out.jobs.len(), jobs.len(), "{d:?}");
-            energies.push(out.total_energy.as_kwh());
-        }
-        for w in energies.windows(2) {
-            assert!((w[0] - w[1]).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn strict_fifo_preserves_start_order() {
-        let jobs = crate::job::JobTraceGenerator::default_rates().generate(80, 13);
-        let out = Simulation::single_region(cluster(12), Policy::Fifo, &jobs)
-            .with_discipline(QueueDiscipline::StrictFifo)
-            .run();
-        // Under strict FIFO with a single region and no deferral, start
-        // times are non-decreasing in arrival order.
-        let mut last = 0.0;
-        for o in &out.jobs {
-            assert!(o.start_hours + 1e-9 >= last);
-            last = o.start_hours;
-        }
-    }
-
-    #[test]
-    fn easy_utilization_beats_strict_fifo() {
-        // EASY finishes the same workload sooner than strict FIFO on a
-        // congested cluster (it fills holes the blocked head leaves).
-        let jobs = crate::job::JobTraceGenerator::default_rates().generate(150, 17);
-        let makespan = |d: QueueDiscipline| {
-            let out = Simulation::single_region(cluster(12), Policy::Fifo, &jobs)
-                .with_discipline(d)
-                .run();
-            out.jobs
-                .iter()
-                .zip(&jobs)
-                .map(|(o, j)| o.start_hours + j.runtime_hours)
-                .fold(0.0f64, f64::max)
-        };
-        let fifo = makespan(QueueDiscipline::StrictFifo);
-        let easy = makespan(QueueDiscipline::EasyBackfill);
-        assert!(easy <= fifo + 1e-9, "easy {easy} vs fifo {fifo}");
+        assert!(out.jobs[wide.id].wait_hours > 50.0);
     }
 }

@@ -174,16 +174,18 @@ impl EstimateService {
             Err(_) => return error_payload(400, "http", "request body is not UTF-8"),
         };
         // Document-level failures (syntax, schema gate, unknown fields)
-        // are a typed 400; row-level failures below stay 200 with error
-        // rows, exactly like the CLI's batch semantics.
-        let requests = match EstimateRequest::batch_from_json(src) {
-            Ok(r) => r,
+        // and any row that fails validation (a bound such as `jobs` ≤
+        // MAX_JOBS, a physical PUE) are a typed 400, before any work is
+        // done; estimation failures of valid rows stay 200 with aligned
+        // error rows, like the CLI's batch output.
+        let valid: Vec<ValidRequest> = match EstimateRequest::batch_from_json(src)
+            .and_then(|rs| rs.iter().map(EstimateRequest::validate).collect())
+        {
+            Ok(v) => v,
             Err(e) => return error_payload(400, e.kind(), &e.to_string()),
         };
-        let results: Vec<Result<Arc<FootprintReport>, ApiError>> = requests
-            .iter()
-            .map(|r| self.estimate_one_cached(r))
-            .collect();
+        let results: Vec<Result<Arc<FootprintReport>, ApiError>> =
+            valid.iter().map(|v| self.estimate_one_cached(v)).collect();
         for r in &results {
             let c = match r {
                 Ok(_) => &self.metrics.reports_ok,
@@ -214,15 +216,14 @@ impl EstimateService {
     /// Reports stay behind `Arc` end to end — a hit is a refcount bump,
     /// never a deep copy — and the request is validated exactly once
     /// (the same `ValidRequest` yields the key and feeds the estimator).
-    fn estimate_one_cached(&self, req: &EstimateRequest) -> Result<Arc<FootprintReport>, ApiError> {
-        let valid: ValidRequest = req.validate()?;
+    fn estimate_one_cached(&self, valid: &ValidRequest) -> Result<Arc<FootprintReport>, ApiError> {
         let key = valid.canonical_json();
         if let Some(hit) = self.cache.get(&key) {
             self.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
             return Ok(hit);
         }
         self.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
-        let report = Arc::new(self.estimator.estimate_valid(&valid)?);
+        let report = Arc::new(self.estimator.estimate_valid(valid)?);
         self.cache.insert(key, Arc::clone(&report));
         Ok(report)
     }

@@ -19,19 +19,11 @@
 use crate::exec::SweepConfig;
 use crate::grid::ScenarioGrid;
 use crate::scenario::{Scenario, ScenarioError, ScenarioOutcome};
-use hpcarbon_api::context::partner_region;
+use hpcarbon_api::context::{partner_region, seed_substreams};
 use hpcarbon_api::providers::{CatalogEmbodied, DispatchIntensity, EmbodiedSource, GeneratedJobs};
 use hpcarbon_api::{EstimateContext, Estimator, JobKey, TraceKey};
-use hpcarbon_sim::rng::SimRng;
 use std::collections::BTreeSet;
 use std::sync::Arc;
-
-/// The seed substreams one scenario seed forks: `(trace, jobs)` —
-/// exactly what `EstimateRequest` evaluation derives from `seed`.
-fn substreams(seed: u64) -> (u64, u64) {
-    let rng = SimRng::seed_from(seed);
-    (rng.substream("trace").seed(), rng.substream("jobs").seed())
-}
 
 /// Immutable shared state for one sweep: the workload knobs plus a
 /// context-attached estimator covering every key the grid can touch.
@@ -104,7 +96,7 @@ impl SweepContext {
         // partner key of every (region, source, seed) cell in play.
         let partnered = grid.policies.iter().any(|p| p.is_multi_region());
         for &seed in &grid.seeds {
-            let (trace_seed, jobs_seed) = substreams(seed);
+            let (trace_seed, jobs_seed) = seed_substreams(seed);
             job_keys.insert((config.jobs_per_scenario, jobs_seed));
             for &region in &grid.regions {
                 for &source in &grid.sources {

@@ -149,55 +149,6 @@ impl UpgradeScenario {
         let years = self.upgrade_embodied() / saving_per_year;
         Some(TimeSpan::from_years(years))
     }
-
-    /// Samples the savings curve over `[t0, horizon]` at `points` equally
-    /// spaced instants (Fig. 8/9's plotted lines; `t0 > 0` avoids the
-    /// −∞ at t = 0).
-    pub fn savings_curve(
-        &self,
-        horizon: TimeSpan,
-        points: usize,
-        intensity: CarbonIntensity,
-    ) -> SavingsCurve {
-        assert!(points >= 2, "need at least two samples");
-        let mut samples = Vec::with_capacity(points);
-        for k in 0..points {
-            let t = horizon * ((k + 1) as f64 / points as f64);
-            samples.push((t, self.savings_percent(t, intensity)));
-        }
-        SavingsCurve {
-            scenario: *self,
-            intensity,
-            samples,
-        }
-    }
-}
-
-/// A sampled savings curve.
-#[derive(Debug, Clone)]
-pub struct SavingsCurve {
-    /// The scenario generating this curve.
-    pub scenario: UpgradeScenario,
-    /// The constant intensity it was evaluated at.
-    pub intensity: CarbonIntensity,
-    /// `(time, savings %)` samples in time order.
-    pub samples: Vec<(TimeSpan, f64)>,
-}
-
-impl SavingsCurve {
-    /// The last sampled saving (the curve's right edge).
-    pub fn final_savings(&self) -> f64 {
-        // lint: allow(panic-in-library) -- curves are only built by savings_curve(), which always pushes at least the horizon-end sample
-        self.samples.last().expect("non-empty").1
-    }
-
-    /// First sampled time with non-negative savings, if any.
-    pub fn first_green(&self) -> Option<TimeSpan> {
-        self.samples
-            .iter()
-            .find(|(_, s)| *s >= 0.0)
-            .map(|(t, _)| *t)
-    }
 }
 
 #[cfg(test)]
@@ -351,24 +302,6 @@ mod tests {
             );
             // Both pay off within a year at medium intensity.
             assert!(pa.break_even(i).unwrap().as_years() < 1.0);
-        }
-    }
-
-    #[test]
-    fn savings_curve_sampling() {
-        let s = scenario(NodeGen::P100Node, NodeGen::V100Node, Suite::Candle);
-        let c = s.savings_curve(
-            TimeSpan::from_years(5.0),
-            20,
-            IntensityLevel::High.intensity(),
-        );
-        assert_eq!(c.samples.len(), 20);
-        assert!(c.samples[0].1 < c.final_savings());
-        let green = c.first_green().expect("goes green at 400 g/kWh");
-        assert!(green.as_years() <= 1.0);
-        // Samples are in time order.
-        for w in c.samples.windows(2) {
-            assert!(w[0].0 < w[1].0);
         }
     }
 

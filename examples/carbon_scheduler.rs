@@ -6,11 +6,9 @@
 //!
 //! Runs the same 500-job trace under five scheduling policies across two
 //! geographically distributed clusters (Great Britain + California, the
-//! two greenest Table 3 regions) and reports the carbon/wait trade-off,
-//! plus the effect of per-user carbon budgets on queue priority.
+//! two greenest Table 3 regions) and reports the carbon/wait trade-off.
 
 use sustainable_hpc::prelude::*;
-use sustainable_hpc::sched::CarbonBudgetLedger;
 
 fn main() {
     let gb = Cluster::new("gb-site", simulate_year(OperatorId::Eso, 2021, 7), 96);
@@ -51,30 +49,4 @@ fn main() {
             outcome.max_wait_hours,
         );
     }
-
-    // Carbon budgets: economical users get queue priority on a congested
-    // cluster ("they could be prioritized to reduce their queue wait time
-    // if the carbon footprint of their jobs have been economical").
-    println!("\n== Carbon budgets on a congested 24-GPU site ==");
-    let small = Cluster::new("gb-small", simulate_year(OperatorId::Eso, 2021, 7), 24);
-    let ledger = CarbonBudgetLedger::uniform(16, CarbonMass::from_t(1.0));
-    let budgeted = Simulation::single_region(small.clone(), Policy::Fifo, &jobs)
-        .with_budgets(ledger)
-        .run();
-    let ledger = budgeted.ledger.expect("budgets enabled");
-    println!(
-        "  total spent: {} across {} users",
-        ledger.total_spent(),
-        ledger.users()
-    );
-    let order = ledger.priority_order();
-    println!(
-        "  next-period queue priority (most economical first): users {:?} ...",
-        &order[..4.min(order.len())]
-    );
-    println!(
-        "  most economical user spent {}, heaviest spent {}",
-        ledger.spent(order[0]),
-        ledger.spent(*order.last().expect("non-empty"))
-    );
 }

@@ -13,8 +13,7 @@ use std::path::Path;
 fn main() {
     let print = std::env::args().any(|a| a == "--print");
     let out = Path::new("out/paper");
-    let mut artifacts = sustainable_hpc::report::render_all(2021);
-    artifacts.extend(sustainable_hpc::report::render_extensions(2021));
+    let artifacts = sustainable_hpc::report::render_all(2021);
     for a in &artifacts {
         a.write_to(out).expect("writable output directory");
         println!(

@@ -14,13 +14,13 @@
 //! - [`core`] — the paper's Eqs. 1–6: embodied and operational carbon
 //!   models, the Table 1 part catalog, the Table 2 system inventories
 //! - [`grid`] — the seven-region grid simulator behind Figs. 6–7
-//! - [`power`] — NVML/RAPL-style telemetry and the carbontracker-
-//!   equivalent accounting pipeline
+//! - [`power`] — device power models, seasonal PUE and the
+//!   carbontracker-equivalent accounting pipeline
 //! - [`workloads`] — the Table 4 benchmark models and Table 5 node
 //!   generations (roofline + allreduce performance, node power)
 //! - [`upgrade`] — the RQ7/RQ8 upgrade decision framework (Figs. 8–9)
-//! - [`sched`] — carbon-intensity-aware job scheduling with carbon
-//!   budgets (the paper's §4 implications, built)
+//! - [`sched`] — carbon-intensity-aware job scheduling (the paper's §4
+//!   implication, built)
 //! - [`report`] — regeneration of every paper table and figure
 //! - [`api`] — the **single front door**: a versioned
 //!   `EstimateRequest → FootprintReport` API with pluggable providers

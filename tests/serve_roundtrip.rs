@@ -4,8 +4,9 @@
 //! cached, pipelined, any mix — are **byte-identical** to the serial
 //! `Estimator` path and to the committed golden report. Plus the HTTP
 //! edge cases a hand-rolled server must get right: pipelined requests,
-//! oversized bodies (413), malformed JSON (400 with a typed `ApiError`
-//! payload), and graceful shutdown with queued work.
+//! oversized bodies (413), malformed JSON and oversized workloads (400
+//! with a typed `ApiError` payload), and graceful shutdown with queued
+//! work.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -269,6 +270,25 @@ fn deeply_nested_json_is_a_400_and_the_server_keeps_serving() {
     assert_eq!(status, 400, "{body}");
     assert!(body.contains("\"kind\": \"parse\""), "{body}");
     assert!(body.contains("nesting deeper than 64 levels"), "{body}");
+    let (status, body) = get_healthz(&addr);
+    assert_eq!(status, 200);
+    assert_eq!(body, "ok\n");
+    handle.shutdown();
+    join.join().unwrap();
+}
+
+#[test]
+fn oversized_jobs_is_a_400_and_the_server_keeps_serving() {
+    // 50M jobs is a tiny body, but simulating it would allocate the whole
+    // job trace and abort the process; validation caps it first.
+    let (addr, handle, join) = start_server(1, 0);
+    let (status, body) = post_estimate(
+        &addr,
+        r#"{"schema_version": 1, "system": "frontier", "region": "eso", "jobs": 50000000}"#,
+    );
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("\"kind\": \"invalid-request\""), "{body}");
+    assert!(body.contains("must be at most 10000"), "{body}");
     let (status, body) = get_healthz(&addr);
     assert_eq!(status, 200);
     assert_eq!(body, "ok\n");
