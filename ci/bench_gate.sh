@@ -10,6 +10,10 @@
 #   * every [[bench]] target declared in crates/bench/Cargo.toml must be
 #     one of SUITES — a suite the gate does not run fails the gate before
 #     any benchmark runs, so unrun benches cannot accumulate;
+#   * a baseline entry missing from the run fails the gate, and so does a
+#     run benchmark with no baseline entry (except the host-dependent
+#     UNBASELINED ids, which --update leaves out on purpose) — so every
+#     benchmark the suites run is gated;
 #   * a benchmark slower than baseline × BENCH_GATE_MAX_RATIO fails the
 #     gate (regression);
 #   * a benchmark faster than baseline ÷ BENCH_GATE_MAX_RATIO prints a
@@ -50,6 +54,9 @@ MIN_SWEEP_SPEEDUP="${BENCH_GATE_MIN_SWEEP_SPEEDUP:-2}"
 OUT_DIR="${BENCH_GATE_OUT_DIR:-ci/out}"
 BASELINE="${BENCH_GATE_BASELINE:-ci/bench_baseline.json}"
 SUITES=(bench_window_index bench_sweep bench_serve bench_trace)
+# Parallel-streaming timing scales with the host's core count, so it
+# stays out of the committed baseline (an ERE over benchmark ids).
+UNBASELINED="streaming/parallel"
 BENCH_MANIFEST=crates/bench/Cargo.toml
 
 # --- gate 0: every declared bench target is a gated suite ------------------
@@ -112,11 +119,9 @@ if [[ "${1:-}" == "--update" ]]; then
         echo "  \"schema\": \"hpcarbon-bench-baseline-v1\","
         echo "  \"unit\": \"ns_per_iter_median\","
         echo "  \"benchmarks\": {"
-        # Parallel-streaming timing scales with the host's core count,
-        # so it stays out of the committed baseline.
         for suite in "${SUITES[@]}"; do
             extract "$OUT_DIR/BENCH_${suite#bench_}.json"
-        done | grep -v "streaming/parallel" | awk '{ printf "    \"%s\": %s,\n", $1, $2 }' | sed '$ s/,$//'
+        done | grep -Ev "$UNBASELINED" | awk '{ printf "    \"%s\": %s,\n", $1, $2 }' | sed '$ s/,$//'
         echo "  }"
         echo "}"
     } >"$BASELINE"
@@ -173,7 +178,7 @@ else
     fi
 fi
 
-# --- gate 2: ±30% against the committed baseline ---------------------------
+# --- gate 2: run ids match baseline ids, each within ±30% of its baseline --
 if [[ ! -f "$BASELINE" ]]; then
     echo "FAIL: no baseline at $BASELINE (run ci/bench_gate.sh --update and commit it)"
     exit 1
@@ -199,6 +204,13 @@ while read -r name base; do
         echo "ok: $name ${ratio}x of baseline (${cur} ns vs ${base} ns)"
     fi
 done < <(extract "$BASELINE")
+while read -r name _; do
+    [[ "$name" =~ $UNBASELINED ]] && continue
+    if ! extract "$BASELINE" | awk -v n="$name" '$1 == n { found = 1 } END { exit !found }'; then
+        echo "FAIL: benchmark '$name' has no entry in $BASELINE (add it with --update, or delete the benchmark)"
+        fail=1
+    fi
+done < <(for suite in "${SUITES[@]}"; do extract "$OUT_DIR/BENCH_${suite#bench_}.json"; done)
 
 if [[ "$fail" -ne 0 ]]; then
     echo "bench gate: FAILED"

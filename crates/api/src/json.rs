@@ -1,7 +1,7 @@
 //! A minimal hand-rolled JSON reader/writer.
 //!
 //! The offline dependency set has no serde, so the request parser and the
-//! report round-trip are built on this ~200-line recursive-descent parser.
+//! report writer are built on this ~200-line recursive-descent parser.
 //! It accepts exactly the JSON grammar (RFC 8259) with two deliberate
 //! strictnesses that serve the API's versioning rule:
 //!
@@ -14,7 +14,7 @@
 //! as `seed` keeps every bit above 2^53.
 //!
 //! Writing goes through [`esc`] / [`fmt_f64`]; metric formatting matches
-//! the sweep table's fixed `{:.4}` idiom so parse → re-emit is stable.
+//! the sweep table's fixed `{:.4}` idiom.
 
 use crate::error::ParseError;
 
@@ -392,8 +392,8 @@ pub fn fmt_f64(v: f64) -> String {
 }
 
 /// Emits a report metric in the sweep table's fixed `{:.4}` idiom;
-/// `null` when undefined. Fixed precision keeps parse → re-emit stable
-/// and 1-vs-N-thread outputs byte-comparable.
+/// `null` when undefined. Fixed precision keeps 1-vs-N-thread outputs
+/// byte-comparable.
 pub fn fmt_metric(v: Option<f64>) -> String {
     match v {
         Some(v) => format!("{v:.4}"),
@@ -401,7 +401,7 @@ pub fn fmt_metric(v: Option<f64>) -> String {
     }
 }
 
-// ---- Typed decode helpers shared by the request and report decoders.
+// ---- Typed decode helpers of the request decoder.
 // Each takes the schema-level field name so errors read `upgrade.from`,
 // not a bare JSON path. ----
 
@@ -452,13 +452,6 @@ pub(crate) fn as_num(field: &'static str, j: &Json) -> Result<f64, ParseError> {
             field,
             expected: "a number",
         }),
-    }
-}
-
-pub(crate) fn as_opt_num(field: &'static str, j: &Json) -> Result<Option<f64>, ParseError> {
-    match j {
-        Json::Null => Ok(None),
-        other => as_num(field, other).map(Some),
     }
 }
 

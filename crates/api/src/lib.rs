@@ -80,8 +80,8 @@ pub use providers::{
     IntensityProvider, JobSource, PueProvider, RequestPue,
 };
 pub use report::{
-    batch_from_json, batch_to_json, EmbodiedSection, FootprintReport, GridSection,
-    OperationalSection, ShiftSection, UpgradeSection, Verdict,
+    batch_to_json, EmbodiedSection, FootprintReport, GridSection, OperationalSection, ShiftSection,
+    UpgradeSection, Verdict,
 };
 pub use request::{EstimateRequest, ValidRequest, MAX_JOBS, POLICY_VALUES, SCHEMA_VERSION};
 pub use types::{ForecastModel, PueSpec, StorageVariant, SystemId, TraceSource, UpgradePath};

@@ -6,15 +6,11 @@
 //! verdict — plus the request itself, echoed back verbatim for
 //! provenance. JSON emission is hand-rolled in the `sweep::table` idiom
 //! (fixed `{:.4}` metric formatting, deterministic field order), so
-//! parse → re-emit is byte-stable and batch outputs can be `diff`ed
-//! across thread counts.
+//! batch outputs can be `diff`ed across thread counts.
 
-use crate::error::{ApiError, ParseError};
-use crate::json::{
-    as_num, as_object, as_opt_num, as_u64, esc, fmt_metric, parse as parse_json, reject_unknown,
-    require_str, Json,
-};
-use crate::request::{EstimateRequest, SCHEMA_VERSION};
+use crate::error::ApiError;
+use crate::json::{esc, fmt_metric};
+use crate::request::EstimateRequest;
 
 /// The upgrade advisor's five-year-horizon verdict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,19 +30,6 @@ impl Verdict {
             Verdict::Upgrade => "upgrade",
             Verdict::Extend => "extend",
             Verdict::Keep => "keep",
-        }
-    }
-
-    fn parse(field: &'static str, s: &str) -> Result<Verdict, ParseError> {
-        match s {
-            "upgrade" => Ok(Verdict::Upgrade),
-            "extend" => Ok(Verdict::Extend),
-            "keep" => Ok(Verdict::Keep),
-            _ => Err(ParseError::UnknownValue {
-                field,
-                value: s.to_string(),
-                expected: &["upgrade", "extend", "keep"],
-            }),
         }
     }
 }
@@ -139,7 +122,7 @@ pub struct FootprintReport {
 impl FootprintReport {
     /// Emits the report as a multi-line JSON object (no trailing
     /// newline). Field order and number formatting are fixed, so
-    /// emission is deterministic and parse → re-emit is byte-stable.
+    /// emission is deterministic.
     pub fn to_json(&self) -> String {
         self.to_json_padded("")
     }
@@ -189,135 +172,6 @@ impl FootprintReport {
             esc(self.upgrade.verdict.label()),
         )
     }
-
-    /// Parses one report document (strict: unknown fields rejected, the
-    /// embedded request re-decoded through the request schema).
-    pub fn from_json(src: &str) -> Result<FootprintReport, ApiError> {
-        Self::from_json_value(&parse_json(src)?)
-    }
-
-    fn from_json_value(j: &Json) -> Result<FootprintReport, ApiError> {
-        let fields = as_object(j, "report")?;
-        reject_unknown(
-            fields,
-            &[
-                "schema_version",
-                "request",
-                "embodied",
-                "grid",
-                "operational",
-                "shift",
-                "upgrade",
-            ],
-        )?;
-        let section = |key: &'static str| -> Result<&Json, ParseError> {
-            j.get(key).ok_or(ParseError::MissingField { field: key })
-        };
-        let version = as_u64("schema_version", section("schema_version")?)?;
-        if version != u64::from(SCHEMA_VERSION) {
-            return Err(ApiError::Schema {
-                found: version,
-                supported: SCHEMA_VERSION,
-            });
-        }
-        let request = EstimateRequest::from_json_value(section("request")?)?;
-
-        let embodied = section("embodied")?;
-        reject_unknown(
-            as_object(embodied, "embodied")?,
-            &["total_t", "storage_delta_pct"],
-        )?;
-        let embodied = EmbodiedSection {
-            total_t: as_num(
-                "embodied.total_t",
-                embodied.get("total_t").ok_or(ParseError::MissingField {
-                    field: "embodied.total_t",
-                })?,
-            )?,
-            storage_delta_pct: match embodied.get("storage_delta_pct") {
-                Some(v) => as_opt_num("embodied.storage_delta_pct", v)?,
-                None => None,
-            },
-        };
-
-        let grid = section("grid")?;
-        reject_unknown(as_object(grid, "grid")?, &["median_g_per_kwh", "cov_pct"])?;
-        let num = |obj: &Json, field: &'static str, key: &str| -> Result<f64, ParseError> {
-            as_num(
-                field,
-                obj.get(key).ok_or(ParseError::MissingField { field })?,
-            )
-        };
-        let grid = GridSection {
-            median_g_per_kwh: num(grid, "grid.median_g_per_kwh", "median_g_per_kwh")?,
-            cov_pct: num(grid, "grid.cov_pct", "cov_pct")?,
-        };
-
-        let op = section("operational")?;
-        reject_unknown(
-            as_object(op, "operational")?,
-            &["sched_kg", "sched_kwh", "mean_wait_h", "max_wait_h"],
-        )?;
-        let operational = OperationalSection {
-            sched_kg: num(op, "operational.sched_kg", "sched_kg")?,
-            sched_kwh: num(op, "operational.sched_kwh", "sched_kwh")?,
-            mean_wait_h: num(op, "operational.mean_wait_h", "mean_wait_h")?,
-            max_wait_h: num(op, "operational.max_wait_h", "max_wait_h")?,
-        };
-
-        let shift = section("shift")?;
-        reject_unknown(
-            as_object(shift, "shift")?,
-            &[
-                "saved_kg",
-                "saved_pct",
-                "oracle_saved_kg",
-                "oracle_saved_pct",
-            ],
-        )?;
-        let shift = ShiftSection {
-            saved_kg: num(shift, "shift.saved_kg", "saved_kg")?,
-            saved_pct: num(shift, "shift.saved_pct", "saved_pct")?,
-            oracle_saved_kg: match shift.get("oracle_saved_kg") {
-                Some(v) => as_opt_num("shift.oracle_saved_kg", v)?,
-                None => None,
-            },
-            oracle_saved_pct: match shift.get("oracle_saved_pct") {
-                Some(v) => as_opt_num("shift.oracle_saved_pct", v)?,
-                None => None,
-            },
-        };
-
-        let up = section("upgrade")?;
-        reject_unknown(
-            as_object(up, "upgrade")?,
-            &[
-                "node_annual_kg",
-                "break_even_y",
-                "asymptotic_pct",
-                "verdict",
-            ],
-        )?;
-        let upgrade = UpgradeSection {
-            node_annual_kg: num(up, "upgrade.node_annual_kg", "node_annual_kg")?,
-            break_even_y: match up.get("break_even_y") {
-                Some(v) => as_opt_num("upgrade.break_even_y", v)?,
-                None => None,
-            },
-            asymptotic_pct: num(up, "upgrade.asymptotic_pct", "asymptotic_pct")?,
-            verdict: Verdict::parse("upgrade.verdict", require_str(up, "verdict")?)?,
-        };
-
-        Ok(FootprintReport {
-            schema_version: SCHEMA_VERSION,
-            request,
-            embodied,
-            grid,
-            operational,
-            shift,
-            upgrade,
-        })
-    }
 }
 
 /// Emits a batch result as a JSON array, one entry per request in
@@ -351,28 +205,6 @@ pub fn batch_to_json<R: std::borrow::Borrow<FootprintReport>>(
     out
 }
 
-/// Parses a batch emission back; error rows come back as `Err` with the
-/// emitted message (the typed cause is not reconstructable from text).
-pub fn batch_from_json(src: &str) -> Result<Vec<Result<FootprintReport, String>>, ApiError> {
-    let items = match parse_json(src)? {
-        Json::Arr(items) => items,
-        _ => {
-            return Err(ParseError::BadType {
-                field: "report document",
-                expected: "an array of report objects",
-            }
-            .into())
-        }
-    };
-    items
-        .iter()
-        .map(|j| match j.get("error") {
-            Some(Json::Str(msg)) => Ok(Err(msg.clone())),
-            _ => FootprintReport::from_json_value(j).map(Ok),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -387,19 +219,9 @@ mod tests {
     }
 
     #[test]
-    fn report_round_trips_byte_identically() {
-        let rep = report();
-        let json = rep.to_json();
-        let back = FootprintReport::from_json(&json).unwrap();
-        assert_eq!(back.request, rep.request);
-        assert_eq!(back.upgrade.verdict, rep.upgrade.verdict);
-        // Re-emission of the parsed report reproduces the bytes.
-        assert_eq!(back.to_json(), json);
-    }
-
-    #[test]
     fn batch_emission_aligns_errors_with_requests() {
         let ok = report();
+        let row = ok.to_json_padded("  ");
         let results = vec![
             Ok(ok.clone()),
             Err(ApiError::InvalidRequest {
@@ -409,11 +231,12 @@ mod tests {
             Ok(ok),
         ];
         let json = batch_to_json(&results);
-        let back = batch_from_json(&json).unwrap();
-        assert_eq!(back.len(), 3);
-        assert!(back[0].is_ok());
-        assert!(back[1].as_ref().unwrap_err().contains("jobs"));
-        assert!(back[2].is_ok());
+        let error = results[1].as_ref().unwrap_err().to_string();
+        assert!(error.contains("jobs"), "{error}");
+        assert_eq!(
+            json,
+            format!("[\n{row},\n  {{\"error\": {}}},\n{row}\n]\n", esc(&error))
+        );
         assert_eq!(batch_to_json::<FootprintReport>(&[]), "[]\n");
         // Arc-held reports emit the same bytes as owned ones (the
         // serving layer's cached rows depend on this).
@@ -430,7 +253,7 @@ mod tests {
         // Forecast-free reports must not mention the oracle columns…
         let plain = report();
         assert!(!plain.to_json().contains("oracle_saved"));
-        // …and forecast-engaged reports carry and round-trip them.
+        // …and forecast-engaged reports carry them as numbers.
         let mut r = EstimateRequest::paper_baseline(SystemId::Frontier, OperatorId::Eso);
         r.jobs = 40;
         r.policy = hpcarbon_sched::Policy::TemporalShift { slack_hours: 24 };
@@ -439,30 +262,7 @@ mod tests {
         let json = rep.to_json();
         assert!(json.contains("\"oracle_saved_kg\": "));
         assert!(json.contains("\"oracle_saved_pct\": "));
-        let back = FootprintReport::from_json(&json).unwrap();
-        assert!(back.shift.oracle_saved_kg.is_some());
-        assert!(back.shift.oracle_saved_pct.is_some());
-        // Byte-stable round trip (values re-emit at the wire precision).
-        assert_eq!(back.to_json(), json);
-    }
-
-    #[test]
-    fn strict_parsing_rejects_unknown_report_fields() {
-        let rep = report();
-        let tampered = rep
-            .to_json()
-            .replace("\"shift\":", "\"vibes\": 1,\n  \"shift\":");
-        assert!(matches!(
-            FootprintReport::from_json(&tampered).unwrap_err(),
-            ApiError::Parse(ParseError::UnknownField { .. })
-        ));
-    }
-
-    #[test]
-    fn verdict_vocabulary() {
-        for v in [Verdict::Upgrade, Verdict::Extend, Verdict::Keep] {
-            assert_eq!(Verdict::parse("upgrade.verdict", v.label()).unwrap(), v);
-        }
-        assert!(Verdict::parse("upgrade.verdict", "sell").is_err());
+        assert!(!json.contains("\"oracle_saved_kg\": null"), "{json}");
+        assert!(!json.contains("\"oracle_saved_pct\": null"), "{json}");
     }
 }

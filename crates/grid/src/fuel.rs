@@ -63,11 +63,6 @@ impl Fuel {
         CarbonIntensity::from_g_per_kwh(g)
     }
 
-    /// True for fuels the paper calls "sustainable sources" (< 50 g/kWh).
-    pub fn is_low_carbon(self) -> bool {
-        self.emission_factor().as_g_per_kwh() < 50.0
-    }
-
     /// Display label.
     pub fn label(self) -> &'static str {
         match self {
@@ -173,14 +168,6 @@ mod tests {
         let ratio = Fuel::Coal.emission_factor().as_g_per_kwh()
             / Fuel::Hydro.emission_factor().as_g_per_kwh();
         assert!(ratio > 20.0, "coal/hydro = {ratio}");
-    }
-
-    #[test]
-    fn low_carbon_classification() {
-        assert!(Fuel::Nuclear.is_low_carbon());
-        assert!(Fuel::Wind.is_low_carbon());
-        assert!(!Fuel::Gas.is_low_carbon());
-        assert!(!Fuel::Biomass.is_low_carbon());
     }
 
     #[test]

@@ -384,6 +384,23 @@ pub fn parse_trace_csv(
             }
         };
 
+        // The range check holds after normalization too: "1e308" is
+        // finite as written, but not once kgCO2/kWh becomes gCO₂/kWh.
+        let value = match (value, scale) {
+            (Some(v), Some(k)) if !(v * k).is_finite() => {
+                errors.push(TraceFileError::line(
+                    file,
+                    lineno,
+                    format!(
+                        "field \"intensity\" must be finite in gCO2/kWh (got \"{}\" {})",
+                        fields[2], fields[3]
+                    ),
+                ));
+                None
+            }
+            _ => value,
+        };
+
         let Some(stamp) = stamp else { continue };
 
         // Chronology checks run on any row with a valid timestamp, even if
@@ -695,6 +712,24 @@ mod tests {
         assert!(err.to_string().contains(
             "zone \"ciso\" does not match the file's zone \"eso\" (first set at line 2)"
         ));
+    }
+
+    #[test]
+    fn rejects_intensities_that_overflow_once_normalized() {
+        // 1e308 is finite, but 1e308 kgCO2/kWh is not finite in gCO2/kWh.
+        let src = tiny_year_csv().replace(
+            "2021-07-01T12:00Z,eso,88.5,gCO2/kWh",
+            "2021-07-01T12:00Z,eso,1e308,kgCO2/kWh",
+        );
+        let err = parse_trace_csv("t.csv", &src, GapPolicy::Reject).unwrap_err();
+        assert_eq!(err.0.len(), 1, "{err}");
+        let line = 2 + HourStamp::new(CivilDate::new(2021, 7, 1).unwrap(), 12)
+            .unwrap()
+            .hour_of_year() as usize;
+        assert_eq!(
+            anchor(&err, line),
+            "field \"intensity\" must be finite in gCO2/kWh (got \"1e308\" kgCO2/kWh)"
+        );
     }
 
     #[test]

@@ -1,15 +1,15 @@
 //! # hpcarbon-power
 //!
-//! Device power models and operational-carbon tracking — the workspace's
-//! stand-in for the measurement stack the paper uses on real nodes
-//! (NVML/RAPL power counters read by the `carbontracker` tool).
+//! Device power models and hourly-priced operational carbon — the
+//! workspace's stand-in for the measurement stack the paper uses on real
+//! nodes (NVML/RAPL power counters read by the `carbontracker` tool).
 //!
 //! - [`sensor`]: device power models mapping utilization to draw (the
 //!   role NVML/RAPL readings play on real nodes);
-//! - [`pue_model`]: a seasonal PUE that follows outdoor temperature;
-//! - [`tracker`]: the carbontracker-equivalent: measure the first epochs of
-//!   a training run, extrapolate whole-run energy, and convert to gCO₂
-//!   with a grid-intensity trace and PUE (the paper's Eq. 6 pipeline).
+//! - [`pue_model`]: a seasonal PUE that follows outdoor temperature, and
+//!   [`pue_model::account_with_seasonal_pue`], which prices each hour of
+//!   a run at that hour's grid intensity and PUE (the paper's Eq. 6,
+//!   time-resolved).
 //!
 //! # Example
 //!
@@ -29,8 +29,6 @@
 
 pub mod pue_model;
 pub mod sensor;
-pub mod tracker;
 
 pub use pue_model::SeasonalPue;
 pub use sensor::DevicePowerModel;
-pub use tracker::CarbonTracker;

@@ -50,6 +50,7 @@ use std::collections::VecDeque;
 use std::io::{self, ErrorKind, Read};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -303,7 +304,13 @@ fn estimate_worker(
         };
         let Ok(job) = job else { return };
         let keep_alive = job.request.keep_alive;
-        let response = service.handle(&job.request);
+        // A panicking estimate must not take its worker down: the peer
+        // still gets an answer and later misses still find a worker.
+        // Estimation runs outside every cache-shard lock
+        // (`estimate_one_cached` is get, compute, insert), so an unwind
+        // cannot leave a poisoned shard behind.
+        let response = panic::catch_unwind(AssertUnwindSafe(|| service.handle(&job.request)))
+            .unwrap_or_else(|_| service.worker_panic_response());
         mailboxes[job.shard].push_done(Completion {
             token: job.token,
             generation: job.generation,

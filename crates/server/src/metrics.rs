@@ -61,6 +61,9 @@ pub struct Metrics {
     /// Connections dropped by peer reset/disconnect mid-request or
     /// mid-response (never counts clean keep-alive closes).
     pub conn_resets: AtomicU64,
+    /// Requests whose handling panicked on a worker; each was answered
+    /// with a 500 and the worker kept serving.
+    pub worker_panics: AtomicU64,
     /// Per-shard event-loop stats; set once at event-loop boot.
     shards: OnceLock<Vec<ShardStats>>,
     /// Estimate-call latency histogram (cumulative buckets, µs).
@@ -147,6 +150,7 @@ impl Metrics {
             ("cache_entries", cache_entries as u64),
             ("hot_responses_total", g(&self.hot_responses)),
             ("conn_resets_total", g(&self.conn_resets)),
+            ("worker_panics_total", g(&self.worker_panics)),
         ] {
             out.push_str(&format!("{name} {value}\n"));
         }

@@ -148,6 +148,17 @@ impl EstimateService {
         resp
     }
 
+    /// The response for a request whose [`handle`](Self::handle) call
+    /// panicked on a worker, which caught the unwind and keeps serving:
+    /// a typed 500, counted in `worker_panics_total` and the 5xx class.
+    /// The panic message itself goes to stderr through the panic hook.
+    pub(crate) fn worker_panic_response(&self) -> HttpResponse {
+        self.metrics.worker_panics.fetch_add(1, Ordering::Relaxed);
+        let resp = error_payload(500, "internal", "estimation panicked; see the server log");
+        self.metrics.count_response(resp.status);
+        resp
+    }
+
     /// The response for a request that never parsed ([`HttpError`] from
     /// the reader). `None` means the connection died without a decodable
     /// request — nothing useful can be written back.

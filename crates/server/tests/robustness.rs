@@ -6,14 +6,22 @@
 //! contract is the same — the bad connection is torn down (counted in
 //! `conn_resets_total`), its slab slot is reclaimed (the
 //! `open_connections` gauge returns to zero), and *other* connections on
-//! the same shard keep being served throughout. Linux-only, like the
-//! server itself.
+//! the same shard keep being served throughout. A panicking estimate is
+//! the third hazard: its worker answers a 500 and keeps serving.
+//! Linux-only, like the server itself.
 #![cfg(target_os = "linux")]
 
+use hpcarbon_api::{
+    batch_to_json, ApiError, DispatchIntensity, EstimateRequest, Estimator, IntensityProvider,
+    SystemId, TraceSource,
+};
+use hpcarbon_grid::regions::OperatorId;
+use hpcarbon_grid::trace::IntensityTrace;
 use hpcarbon_server::{Server, ServerConfig};
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn start(
@@ -24,7 +32,19 @@ fn start(
     hpcarbon_server::ShutdownHandle,
     std::thread::JoinHandle<hpcarbon_server::ServeSummary>,
 ) {
-    let server = Server::bind("127.0.0.1:0", config).unwrap();
+    start_with(config, Estimator::builder().build())
+}
+
+fn start_with(
+    config: ServerConfig,
+    estimator: Estimator,
+) -> (
+    String,
+    std::sync::Arc<hpcarbon_server::EstimateService>,
+    hpcarbon_server::ShutdownHandle,
+    std::thread::JoinHandle<hpcarbon_server::ServeSummary>,
+) {
+    let server = Server::bind_with("127.0.0.1:0", config, estimator).unwrap();
     let addr = server.local_addr().unwrap().to_string();
     let service = server.service();
     let handle = server.shutdown_handle();
@@ -280,4 +300,96 @@ fn client_disconnect_mid_estimate_reclaims_the_slot() {
     let summary = join.join().unwrap();
     // The estimate itself still ran to completion at the worker.
     assert!(summary.estimate_calls <= 1, "{summary:?}");
+}
+
+/// The dispatch simulator, except that CISO's trace panics.
+struct PanicsForCiso;
+
+impl IntensityProvider for PanicsForCiso {
+    fn year_trace(
+        &self,
+        region: OperatorId,
+        source: TraceSource,
+        year: i32,
+        seed: u64,
+    ) -> Arc<IntensityTrace> {
+        assert_ne!(region, OperatorId::Ciso, "injected provider panic");
+        DispatchIntensity.year_trace(region, source, year, seed)
+    }
+}
+
+/// One request on a fresh `connection: close` socket: the status line
+/// and the body.
+fn exchange(addr: &str, method: &str, target: &str, body: &str) -> (String, String) {
+    let mut s = TcpStream::connect(addr).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    s.write_all(
+        format!(
+            "{method} {target} HTTP/1.1\r\nconnection: close\r\ncontent-length: {}\r\n\r\n{body}",
+            body.len()
+        )
+        .as_bytes(),
+    )
+    .unwrap();
+    let mut out = String::new();
+    s.read_to_string(&mut out).unwrap();
+    let (head, body) = out.split_once("\r\n\r\n").expect("a complete response");
+    let status = head.lines().next().unwrap_or_default().to_string();
+    (status, body.to_string())
+}
+
+#[test]
+fn a_panicking_estimate_gets_a_500_and_the_worker_keeps_serving() {
+    // One worker: if the panic killed it, every later miss would queue
+    // forever behind a dead thread.
+    let (addr, service, handle, join) = start_with(
+        ServerConfig {
+            shards: 1,
+            workers: 1,
+            cache_capacity: 16,
+            max_body_bytes: 1 << 20,
+            read_deadline: Duration::from_secs(10),
+        },
+        Estimator::builder().intensity(PanicsForCiso).build(),
+    );
+    let request = |region| {
+        let mut r = EstimateRequest::paper_baseline(SystemId::Frontier, region);
+        r.jobs = 30;
+        r
+    };
+
+    let (status, body) = exchange(
+        &addr,
+        "POST",
+        "/v1/estimate",
+        &request(OperatorId::Ciso).to_json(),
+    );
+    assert_eq!(status, "HTTP/1.1 500 Internal Server Error", "{body}");
+    assert!(
+        body.starts_with("{\"error\": {\"kind\": \"internal\", \"message\": "),
+        "{body}"
+    );
+
+    // The same worker answers the next miss with the estimator's bytes…
+    let eso = request(OperatorId::Eso);
+    let expected = batch_to_json(&[Ok::<_, ApiError>(
+        Estimator::builder().build().estimate(&eso).unwrap(),
+    )]);
+    let (status, body) = exchange(&addr, "POST", "/v1/estimate", &eso.to_json());
+    assert_eq!(status, "HTTP/1.1 200 OK");
+    assert_eq!(body, expected);
+    // …and its cache still works: the repeat is a hit with the same bytes.
+    let (status, repeat) = exchange(&addr, "POST", "/v1/estimate", &eso.to_json());
+    assert_eq!(status, "HTTP/1.1 200 OK");
+    assert_eq!(repeat, expected);
+    assert_eq!(service.metrics().cache_hits.load(Ordering::Relaxed), 1);
+
+    healthz_ok(&addr);
+    let (status, metrics) = exchange(&addr, "GET", "/metrics", "");
+    assert_eq!(status, "HTTP/1.1 200 OK");
+    assert!(metrics.contains("\nworker_panics_total 1\n"), "{metrics}");
+    assert!(metrics.contains("\nresponses_5xx_total 1\n"), "{metrics}");
+
+    handle.shutdown();
+    join.join().unwrap();
 }

@@ -10,8 +10,8 @@
 //!   top of `rand`'s uniform source (Box–Muller normal, lognormal,
 //!   exponential, Poisson, alias-method weighted discrete), since the
 //!   offline dependency set intentionally excludes `rand_distr`.
-//! - [`process`]: mean-reverting Ornstein–Uhlenbeck and AR(1) processes used
-//!   to synthesize wind/solar availability and demand noise in the grid
+//! - [`process`]: the mean-reverting Ornstein–Uhlenbeck process used to
+//!   synthesize wind/solar availability and demand noise in the grid
 //!   simulator.
 //! - [`des`]: a binary-heap discrete-event engine driving the carbon-aware
 //!   job scheduler simulation.

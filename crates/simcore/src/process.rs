@@ -2,8 +2,8 @@
 //!
 //! The grid simulator needs *temporally correlated* noise: wind availability
 //! does not jump independently hour to hour, it drifts. The standard model
-//! is an Ornstein–Uhlenbeck (OU) mean-reverting process; an AR(1) process is
-//! its exact discretization, which is what we implement.
+//! is an Ornstein–Uhlenbeck (OU) mean-reverting process, sampled here by
+//! its exact discretization (an AR(1) recursion).
 
 use crate::dist::standard_normal;
 use crate::rng::SimRng;
@@ -73,50 +73,6 @@ impl OrnsteinUhlenbeck {
     }
 }
 
-/// A first-order autoregressive process `X_{t+1} = c + phi X_t + eps`,
-/// kept for callers that think in AR terms rather than OU terms.
-#[derive(Debug, Clone)]
-pub struct Ar1 {
-    c: f64,
-    phi: f64,
-    sigma: f64,
-    state: f64,
-}
-
-impl Ar1 {
-    /// Creates the process; `|phi| < 1` is required for stationarity.
-    ///
-    /// # Panics
-    /// If `|phi| >= 1` or `sigma < 0`.
-    pub fn new(c: f64, phi: f64, sigma: f64) -> Self {
-        assert!(phi.abs() < 1.0, "|phi| must be < 1 for stationarity");
-        assert!(sigma >= 0.0);
-        let mean = c / (1.0 - phi);
-        Ar1 {
-            c,
-            phi,
-            sigma,
-            state: mean,
-        }
-    }
-
-    /// Long-run mean `c / (1 - phi)`.
-    pub fn mean(&self) -> f64 {
-        self.c / (1.0 - self.phi)
-    }
-
-    /// Current value.
-    pub fn value(&self) -> f64 {
-        self.state
-    }
-
-    /// Advances one step and returns the new value.
-    pub fn step(&mut self, rng: &mut SimRng) -> f64 {
-        self.state = self.c + self.phi * self.state + self.sigma * standard_normal(rng);
-        self.state
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,22 +130,6 @@ mod tests {
     #[should_panic(expected = "theta must be positive")]
     fn ou_rejects_nonpositive_theta() {
         let _ = OrnsteinUhlenbeck::new(0.0, 0.0, 1.0, 1.0);
-    }
-
-    #[test]
-    fn ar1_mean() {
-        let mut rng = SimRng::seed_from(24);
-        let mut p = Ar1::new(2.0, 0.8, 0.5);
-        let n = 100_000;
-        let mean = (0..n).map(|_| p.step(&mut rng)).sum::<f64>() / n as f64;
-        assert!((mean - 10.0).abs() < 0.15, "mean={mean}");
-        assert!((p.mean() - 10.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "stationarity")]
-    fn ar1_rejects_unit_root() {
-        let _ = Ar1::new(0.0, 1.0, 1.0);
     }
 
     #[test]

@@ -16,9 +16,9 @@
 //! - [`stats`]: summary statistics used by the paper's analyses: quantiles,
 //!   five-number (box-plot) summaries for Fig. 6(a), coefficient of
 //!   variation for Fig. 6(b), and group-by-hour aggregation for Fig. 7.
-//! - [`window`]: [`window::WindowIndex`] — prefix-sum + sparse-table
-//!   indexing of sliding-window averages and argmins, the `O(1)`/`O(slack)`
-//!   primitive behind carbon-aware temporal shifting.
+//! - [`window`]: [`window::WindowIndex`] — prefix-sum indexing of
+//!   sliding-window averages and argmins, the `O(1)`/`O(slack)` primitive
+//!   behind carbon-aware temporal shifting.
 //!
 //! # Example
 //!

@@ -2,11 +2,11 @@
 //!
 //! The unit of analysis in the paper's operational sections is "hourly data
 //! (year 2021)" — a vector of 8760 values indexed by hour-of-year. This
-//! module provides that container with the handful of relational operations
-//! the analyses need: elementwise maps and zips, hour-of-day slicing in any
-//! time zone, rolling means and resampling.
+//! module provides that container with the handful of operations the
+//! analyses need: elementwise maps, summary reductions and hour-of-day
+//! profiles in any time zone.
 
-use crate::datetime::{hours_in_year, CivilDate, HourStamp, TimeZone};
+use crate::datetime::{hours_in_year, HourStamp, TimeZone};
 
 /// One value per hour of a civil year.
 #[derive(Debug, Clone, PartialEq)]
@@ -101,26 +101,6 @@ impl HourlySeries {
         }
     }
 
-    /// Elementwise combination of two series over the same year.
-    ///
-    /// # Panics
-    /// If the years differ.
-    pub fn zip_with(&self, other: &HourlySeries, f: impl Fn(f64, f64) -> f64) -> HourlySeries {
-        assert_eq!(
-            self.year, other.year,
-            "cannot zip series of different years"
-        );
-        HourlySeries {
-            year: self.year,
-            values: self
-                .values
-                .iter()
-                .zip(&other.values)
-                .map(|(a, b)| f(*a, *b))
-                .collect(),
-        }
-    }
-
     /// Sum over all hours.
     pub fn total(&self) -> f64 {
         self.values.iter().sum()
@@ -144,24 +124,6 @@ impl HourlySeries {
             .fold(f64::NEG_INFINITY, f64::max)
     }
 
-    /// All values observed at local wall-clock hour `local_hour` when this
-    /// (UTC-indexed) series is viewed from time zone `tz`.
-    ///
-    /// This is the primitive behind Fig. 7: "compare their carbon
-    /// intensities during the same hour of the day … convert them to JST".
-    /// Hours that fall outside the series' year after conversion are
-    /// dropped (a zone shift moves up to `|offset|` hours across the year
-    /// boundary).
-    pub fn values_at_local_hour(&self, tz: TimeZone, local_hour: u8) -> Vec<(CivilDate, f64)> {
-        assert!(local_hour < 24, "hour must be 0..=23");
-        self.iter()
-            .filter_map(|(utc_stamp, v)| {
-                let local = tz.from_utc(utc_stamp);
-                (local.hour() == local_hour).then(|| (local.date(), v))
-            })
-            .collect()
-    }
-
     /// Means grouped by local hour-of-day (24 buckets) in zone `tz`.
     pub fn hourly_profile(&self, tz: TimeZone) -> [f64; 24] {
         let mut sums = [0.0f64; 24];
@@ -180,42 +142,6 @@ impl HourlySeries {
             };
         }
         out
-    }
-
-    /// Daily means: one value per civil day of the year.
-    pub fn daily_means(&self) -> Vec<f64> {
-        self.values
-            .chunks_exact(24)
-            .map(|day| day.iter().sum::<f64>() / 24.0)
-            .collect()
-    }
-
-    /// Centered-window rolling mean with window `w` (clamped at the edges).
-    ///
-    /// # Panics
-    /// If `w` is zero.
-    pub fn rolling_mean(&self, w: usize) -> HourlySeries {
-        assert!(w > 0, "window must be positive");
-        let half = w / 2;
-        let n = self.values.len();
-        let mut out = Vec::with_capacity(n);
-        // Prefix sums for O(n) rolling windows over 8760 points.
-        let mut prefix = Vec::with_capacity(n + 1);
-        prefix.push(0.0);
-        let mut acc = 0.0;
-        for v in &self.values {
-            acc += v;
-            prefix.push(acc);
-        }
-        for i in 0..n {
-            let lo = i.saturating_sub(half);
-            let hi = (i + half + 1).min(n);
-            out.push((prefix[hi] - prefix[lo]) / (hi - lo) as f64);
-        }
-        HourlySeries {
-            year: self.year,
-            values: out,
-        }
     }
 
     /// Scales every value by `k`.
@@ -262,10 +188,6 @@ mod tests {
     #[test]
     fn map_and_zip() {
         let a = HourlySeries::constant(2021, 2.0);
-        let b = HourlySeries::from_fn(2021, |st| st.hour() as f64);
-        let sum = a.zip_with(&b, |x, y| x + y);
-        assert_eq!(sum.at(0), 2.0); // hour 0
-        assert_eq!(sum.at(13), 15.0); // hour 13
         let doubled = a.map(|x| x * 3.0);
         assert_eq!(doubled.at(100), 6.0);
     }
@@ -293,50 +215,6 @@ mod tests {
                 "hour {h}: got {v}, expected {expected}"
             );
         }
-    }
-
-    #[test]
-    fn values_at_local_hour_counts() {
-        let s = HourlySeries::constant(2021, 1.0);
-        // In UTC every hour-of-day appears exactly 365 times.
-        assert_eq!(s.values_at_local_hour(TimeZone::UTC, 0).len(), 365);
-        assert_eq!(s.values_at_local_hour(TimeZone::UTC, 23).len(), 365);
-        // Viewed from JST (+9): every local hour still appears 365 times
-        // (the series simply shifts; edge hours fall into adjacent years).
-        let total: usize = (0..24)
-            .map(|h| s.values_at_local_hour(TimeZone::JST, h).len())
-            .sum();
-        assert_eq!(total, 8760);
-    }
-
-    #[test]
-    fn daily_means_shape() {
-        let s = HourlySeries::from_fn(2021, |st| st.date().day_of_year() as f64);
-        let days = s.daily_means();
-        assert_eq!(days.len(), 365);
-        assert!((days[0] - 1.0).abs() < 1e-12);
-        assert!((days[364] - 365.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn rolling_mean_smooths() {
-        let s = HourlySeries::from_fn(
-            2021,
-            |st| if st.hour_of_year() % 2 == 0 { 0.0 } else { 2.0 },
-        );
-        let sm = s.rolling_mean(25);
-        // Interior points should be close to the global mean of 1.0.
-        assert!((sm.at(5000) - 1.0).abs() < 0.05);
-        // Mean is preserved approximately.
-        assert!((sm.mean() - s.mean()).abs() < 1e-3);
-    }
-
-    #[test]
-    #[should_panic(expected = "different years")]
-    fn zip_rejects_year_mismatch() {
-        let a = HourlySeries::constant(2021, 1.0);
-        let b = HourlySeries::constant(2020, 1.0);
-        let _ = a.zip_with(&b, |x, _| x);
     }
 
     #[test]

@@ -4,11 +4,11 @@
 //! cargo run --example quickstart
 //! ```
 //!
-//! Computes the embodied carbon of an NVIDIA A100 (Eqs. 2–5), measures a
-//! simulated fine-tuning run with the carbontracker-equivalent (Eq. 6 over
-//! an hourly Great Britain grid trace), and reports the life-cycle total.
+//! Computes the embodied carbon of an NVIDIA A100 (Eqs. 2–5), prices a
+//! fine-tuning run hour by hour against a simulated Great Britain grid
+//! trace (Eq. 6), and reports the life-cycle total.
 
-use sustainable_hpc::power::tracker::{CarbonTracker, EpochMeasurement};
+use sustainable_hpc::power::pue_model::{account_with_seasonal_pue, SeasonalPue};
 use sustainable_hpc::prelude::*;
 
 fn main() {
@@ -29,9 +29,8 @@ fn main() {
     );
 
     // --- Operational carbon (use stage) ------------------------------------
-    // A BERT fine-tune: 20 epochs, the tracker measures the first two and
-    // extrapolates (carbontracker's trick), then we account the actual run
-    // against the hourly grid trace.
+    // A BERT fine-tune: 20 epochs of 18 min at ~280 W IT draw
+    // (0.084 kWh each), priced hour by hour against the grid trace.
     let trace = simulate_year(OperatorId::Eso, 2021, 42);
     println!("\n== Operational carbon: BERT fine-tune on one A100 ==");
     println!(
@@ -40,30 +39,23 @@ fn main() {
         trace.mean()
     );
 
-    let mut tracker = CarbonTracker::new(Pue::DEFAULT);
-    // Each epoch: 18 min at ~280 W facility-side IT draw = 0.084 kWh.
-    for _ in 0..2 {
-        tracker.record_epoch(EpochMeasurement {
-            duration: TimeSpan::from_minutes(18.0),
-            energy: Energy::from_kwh(0.084),
-        });
-    }
-    let prediction = tracker.predict(20, trace.mean());
+    let energy = Energy::from_kwh(0.084) * 20.0;
+    let duration = TimeSpan::from_minutes(18.0) * 20.0;
+    // A constant facility PUE of 1.2 (zero seasonal swing).
+    let pue = SeasonalPue::new(1.2, 0.0);
     println!(
-        "  predicted after 2 epochs: {} over {}, {} at the annual mean intensity",
-        prediction.energy, prediction.duration, prediction.carbon
+        "  run: {energy} over {duration}, {} at the annual mean intensity",
+        operational_carbon(energy, pue.mean(), trace.mean())
     );
 
     // The actual run starts at 18:00 on June 1 (a dirty evening hour).
     let start = 24 * 151 + 18;
-    let actual =
-        tracker.account_against_trace(&trace, start, prediction.energy, prediction.duration);
+    let actual = account_with_seasonal_pue(&trace, &pue, start, energy, duration);
     println!("  actual (hourly-priced, evening start): {actual}");
 
     // Shifting the same run to the greenest window of the next day helps:
-    let best = trace.greenest_window(start, 24, prediction.duration.as_hours().ceil() as u32);
-    let shifted =
-        tracker.account_against_trace(&trace, best, prediction.energy, prediction.duration);
+    let best = trace.greenest_window(start, 24, duration.as_hours().ceil() as u32);
+    let shifted = account_with_seasonal_pue(&trace, &pue, best, energy, duration);
     println!(
         "  shifted {}h later into the greenest window: {} ({:+.1}%)",
         best - start,

@@ -14,8 +14,8 @@
 //! - [`core`] — the paper's Eqs. 1–6: embodied and operational carbon
 //!   models, the Table 1 part catalog, the Table 2 system inventories
 //! - [`grid`] — the seven-region grid simulator behind Figs. 6–7
-//! - [`power`] — device power models, seasonal PUE and the
-//!   carbontracker-equivalent accounting pipeline
+//! - [`power`] — device power models, seasonal PUE and hourly-priced
+//!   operational carbon
 //! - [`workloads`] — the Table 4 benchmark models and Table 5 node
 //!   generations (roofline + allreduce performance, node power)
 //! - [`upgrade`] — the RQ7/RQ8 upgrade decision framework (Figs. 8–9)

@@ -1,7 +1,6 @@
-//! Integration of the power tracker, grid and core: the accounting the
-//! paper runs with carbontracker on real nodes.
+//! Integration of the grid and core: the life-cycle position of one
+//! device on each simulated regional grid.
 
-use sustainable_hpc::power::tracker::CarbonTracker;
 use sustainable_hpc::prelude::*;
 
 /// Embodied parity: how long a device must run before operational carbon
@@ -36,22 +35,5 @@ fn embodied_parity_shifts_with_region() {
     // Parity spans weeks (Tokyo's ~545 gCO2/kWh grid) to months (GB).
     for (_, years) in &parity_years {
         assert!((0.02..=5.0).contains(years), "{years}");
-    }
-}
-
-/// The carbontracker prediction is conservative under intensity variation:
-/// pricing hour-by-hour differs from mean-intensity pricing, bounded by
-/// the trace's min/max.
-#[test]
-fn hourly_pricing_bounded_by_trace_extremes() {
-    let trace = simulate_year(OperatorId::Eso, 2021, 17);
-    let tracker = CarbonTracker::new(Pue::new(1.0));
-    let energy = Energy::from_kwh(100.0);
-    let duration = TimeSpan::from_hours(10.0);
-    for start in [0u32, 1000, 4000, 8000] {
-        let carbon = tracker.account_against_trace(&trace, start, energy, duration);
-        let implied = carbon.as_g() / energy.as_kwh();
-        assert!(implied >= trace.series().min() - 1e-9);
-        assert!(implied <= trace.series().max() + 1e-9);
     }
 }
